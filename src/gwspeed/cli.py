@@ -14,9 +14,12 @@ import sys
 from .offspring import LawError, parse_law
 from .percolation import ConvergenceError, ModelError, PercolatedModel, rho_derivative
 from .simulate import SimulationError, estimate_speed, simulate_pipes
-from .speed import check_condition, cluster_speed, pipes_speed, sweep
+from .speed import InternalInconsistency, check_condition, cluster_speed, pipes_speed, sweep
 
 DEFAULTS = dict(tol=1e-12, horizon=10**5, replicas=200, seed=42, format="csv")
+# input bounds: each is one list or array of that many floats
+MAX_GRID_POINTS = 10**5
+MAX_GRID_SIZE = 10**6
 
 
 class CliError(ValueError):
@@ -50,16 +53,13 @@ def _parse_grid(text: str) -> list[float]:
         start, stop, step = float(start_s), float(stop_s), float(step_s)
     except ValueError as exc:
         raise CliError(f"--p-grid must be start:stop:step, got {text!r}") from exc
-    if step <= 0:
+    if not step > 0:
         raise CliError("--p-grid step must be positive")
-    grid = []
-    i = 0
-    while True:
-        p = start + i * step
-        if p > stop + 1e-12:
-            break
-        grid.append(min(p, stop))
-        i += 1
+    span = (stop + 1e-12 - start) / step
+    if not span < MAX_GRID_POINTS:
+        raise CliError(f"--p-grid {text!r} has more than {MAX_GRID_POINTS} points")
+    points = (start + i * step for i in range(int(span) + 2))
+    grid = [min(p, stop) for p in points if p <= stop + 1e-12]
     if not grid:
         raise CliError(f"--p-grid {text!r} is empty")
     return grid
@@ -154,6 +154,8 @@ def _cmd_simulate(args) -> list[dict]:
 
 
 def _cmd_check_condition(args) -> list[dict]:
+    if args.grid_size > MAX_GRID_SIZE:
+        raise CliError(f"--grid-size {args.grid_size} exceeds {MAX_GRID_SIZE}")
     law = parse_law(args.law)
     ok, worst = check_condition(law, args.grid_size)
     return [dict(law=args.law, condition_ok=ok, worst_violation=worst)]
@@ -183,7 +185,8 @@ _COMMANDS = {
 def run(argv: list[str] | None = None, out=None) -> int:
     """Parse argv, run the command, write rows to `out` (default stdout).
 
-    Exit codes: 0 success, 1 input error, 2 convergence error.
+    Exit codes: 0 success, 1 input error, 2 numerical failure (no
+    convergence, or two routes to one quantity disagree).
     """
     out = out if out is not None else sys.stdout
     parser = _build_parser()
@@ -198,6 +201,9 @@ def run(argv: list[str] | None = None, out=None) -> int:
         return 1
     except (ConvergenceError, SimulationError) as exc:
         print(f"convergence error: {exc}", file=sys.stderr)
+        return 2
+    except InternalInconsistency as exc:
+        print(f"internal inconsistency error: {exc}", file=sys.stderr)
         return 2
     _emit(rows, args.format, out)
     return 0

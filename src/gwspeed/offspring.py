@@ -40,6 +40,10 @@ class OffspringLaw:
     def _derivative(self, s: float, order: int) -> float:
         raise NotImplementedError
 
+    def pgf_array(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(f(s), f'(s)) elementwise on an array of points in [0, 1]."""
+        raise NotImplementedError
+
     def pmf(self, k: int) -> float:
         raise NotImplementedError
 
@@ -109,6 +113,15 @@ class FinitePmf(OffspringLaw):
             total += self.weights[k] * math.perm(k, order) * s ** (k - order)
         return total
 
+    def pgf_array(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # Horner for f and, one step behind it, for f'
+        f = np.zeros_like(s)
+        df = np.zeros_like(s)
+        for w in reversed(self.weights):
+            df = df * s + f
+            f = f * s + w
+        return f, df
+
     def pmf(self, k: int) -> float:
         return self.weights[k] if 0 <= k < len(self.weights) else 0.0
 
@@ -146,6 +159,11 @@ class Geometric(OffspringLaw):
         a = self.a
         return math.factorial(order) * a**order * (1 - a) / (1 - a * s) ** (order + 1)
 
+    def pgf_array(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        a = self.a
+        d = 1 - a * s
+        return (1 - a) / d, a * (1 - a) / d**2
+
     def pmf(self, k: int) -> float:
         return self.a**k * (1 - self.a) if k >= 0 else 0.0
 
@@ -169,6 +187,10 @@ class Poisson(OffspringLaw):
 
     def _derivative(self, s: float, order: int) -> float:
         return self.mu**order * math.exp(self.mu * (s - 1.0))
+
+    def pgf_array(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        f = np.exp(self.mu * (s - 1.0))
+        return f, self.mu * f
 
     def pmf(self, k: int) -> float:
         if k < 0:
@@ -200,6 +222,11 @@ class Binomial(OffspringLaw):
             return 0.0
         base = 1.0 - self.q + self.q * s
         return math.perm(self.n, order) * self.q**order * base ** (self.n - order)
+
+    def pgf_array(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        n, q = self.n, self.q
+        base = 1.0 - q + q * s
+        return base**n, n * q * base ** (n - 1)
 
     def pmf(self, k: int) -> float:
         if not 0 <= k <= self.n:

@@ -20,11 +20,14 @@ from .offspring import (
 )
 
 DEFAULT_TOL = 1e-12
-MAX_FIXED_POINT_ITER = 10**6
+MAX_NEWTON_ITER = 200
+# absolute roundoff in evaluating g(x) = f(1-p+px) - x, a few ulps of 1
+G_ROUNDOFF = 1e-15
 
 
 class ConvergenceError(RuntimeError):
-    """Fixed-point / Newton iteration failed to converge within the cap."""
+    """Newton iteration for rho did not converge, or its root is not
+    resolved from the trivial root 1 in double precision."""
 
 
 class ModelError(ValueError):
@@ -34,9 +37,13 @@ class ModelError(ValueError):
 def solve_rho(law: OffspringLaw, p: float, tol: float = DEFAULT_TOL) -> tuple[float, float]:
     """Smallest fixed point rho of rho = f(1 - p + p*rho), plus lambda.
 
-    Monotone fixed-point iteration from 0 converges to the smallest root;
-    a few Newton steps on g(x) = f(1-p+px) - x polish it to solver
-    precision. Returns (rho, lambda) with lambda = 1 - p + p*rho.
+    Newton's method on g(x) = f(1-p+px) - x, started from x = 0. g is
+    convex with g'(x) = p f'(lambda) - 1 < 0 below its smallest root, so
+    the iterates climb monotonically to rho: quadratically at a simple
+    root and still linearly as p -> 1/m, where the root nears a double
+    root at 1. The loop stops at a step of at most tol/100, or at the
+    first step that is not positive, which is the roundoff floor. Returns
+    (rho, lambda) with lambda = 1 - p + p*rho.
     """
     if tol <= 0:
         raise ModelError(f"tol must be positive, got {tol}")
@@ -49,34 +56,35 @@ def solve_rho(law: OffspringLaw, p: float, tol: float = DEFAULT_TOL) -> tuple[fl
         raise ModelError("degenerate law f(s) = s has no meaningful extinction problem")
 
     rho = 0.0
-    for _ in range(MAX_FIXED_POINT_ITER):
-        nxt = law.pgf_derivative(1.0 - p + p * rho, 0)
-        if abs(nxt - rho) <= tol:
-            rho = nxt
-            break
-        rho = nxt
-    else:
-        raise ConvergenceError(
-            f"fixed-point iteration for rho did not reach tol={tol} within "
-            f"{MAX_FIXED_POINT_ITER} iterations (p={p} too close to 1/m?)"
-        )
-
-    # Newton polish on g(x) = f(1-p+px) - x; g'(x) = p f'(lambda) - 1
-    for _ in range(50):
+    for _ in range(MAX_NEWTON_ITER):
         lam = 1.0 - p + p * rho
         g = law.pgf_derivative(lam, 0) - rho
         gp = p * law.pgf_derivative(lam, 1) - 1.0
-        if gp == 0.0:
+        if not (g > 0.0 and gp < 0.0):
+            break  # at the root to roundoff: the next step would not be positive
+        step = -g / gp
+        rho = min(rho + step, 1.0)
+        if step <= tol * 0.01:
             break
-        step = g / gp
-        rho -= step
-        if abs(step) <= tol * 0.01:
-            break
-    rho = min(max(rho, 0.0), 1.0)
+    else:
+        raise ConvergenceError(
+            f"Newton iteration for rho did not converge within {MAX_NEWTON_ITER} "
+            f"steps (p={p})"
+        )
 
     lam = 1.0 - p + p * rho
     if abs(rho - law.pgf_derivative(lam, 0)) > 10 * tol:
         raise ConvergenceError(f"rho residual exceeds {10 * tol} after refinement (p={p})")
+    # Roundoff in g moves the root by about G_ROUNDOFF / |g'(rho)|. As p -> 1/m
+    # that shift outgrows the root's distance to the trivial root 1, and a
+    # "root" found there is noise: refuse one that roundoff moves by more
+    # than a tenth of that distance.
+    slope = 1.0 - p * law.pgf_derivative(lam, 1)
+    if not G_ROUNDOFF < 0.1 * slope * (1.0 - rho):
+        raise ConvergenceError(
+            f"rho is not resolved from the trivial root 1 in double precision "
+            f"(p={p} too close to 1/m)"
+        )
     return rho, lam
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .offspring import OffspringLaw
 from .percolation import (
     ModelError,
@@ -128,16 +130,10 @@ def check_condition(law: OffspringLaw, grid_size: int = 10**4) -> tuple[bool, fl
     if law.is_degenerate:
         raise ModelError("degenerate law f(s) = s excluded from the condition check")
     lo = 1.0 / law.mean()
-    s_cut = 1.0 - 1e-6
-
-    def h(s: float) -> float:
-        if s >= s_cut:
-            s = s_cut
-        return (1.0 - s) * law.pgf_derivative(s, 1) / (1.0 - law.pgf_derivative(s, 0))
-
     step = (1.0 - lo) / (grid_size + 1)
-    values = [h(lo + (i + 1) * step) for i in range(grid_size)]
-    worst = min(b - a for a, b in zip(values, values[1:]))
+    s = np.minimum(lo + np.arange(1, grid_size + 1) * step, 1.0 - 1e-6)
+    f, df = law.pgf_array(s)
+    worst = float(np.min(np.diff((1.0 - s) * df / (1.0 - f))))
     return worst >= -CONDITION_SLACK, worst
 
 

@@ -1,9 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gwspeed
 from gwspeed.cli import run
+from gwspeed.speed import InternalInconsistency
 
 SWEEP_HEADER = "p,rho,lambda,backbone_speed,cluster_speed,mean_delay,condition_ok"
 
@@ -12,6 +18,13 @@ def run_capture(argv):
     out = io.StringIO()
     code = run(argv, out=out)
     return code, out.getvalue()
+
+
+def run_process(argv, timeout=60):
+    """The CLI in a fresh interpreter; a hang fails the test at `timeout`."""
+    env = dict(os.environ, PYTHONPATH=str(Path(gwspeed.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "gwspeed.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
 
 
 class TestSpeedCommand:
@@ -60,6 +73,17 @@ class TestSweepCommand:
         code, _ = run_capture(["sweep", "--law", "pmf:0,0,1", "--p-grid", "0.9:0.6:0.1"])
         assert code == 1
 
+    @pytest.mark.parametrize("grid", ["0.6:0.6:1e-300", "0.6:0.9:1e-6", "nan:0.9:0.1"])
+    def test_too_many_points_rejected_at_once(self, grid):
+        proc = run_process(["sweep", "--law", "pmf:0,0,1", "--p-grid", grid], timeout=30)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert proc.stdout == ""
+
+    def test_step_below_ulp_rejected(self):
+        code, _ = run_capture(["sweep", "--law", "pmf:0,0,1", "--p-grid", "0.9:0.9:1e-16"])
+        assert code == 1
+
 
 class TestCheckConditionCommand:
     def test_geometric_true(self):
@@ -68,6 +92,20 @@ class TestCheckConditionCommand:
         header, row = text.strip().splitlines()
         assert header == "law,condition_ok,worst_violation"
         assert row.split(",")[1] == "true"
+
+    def test_grid_size_bounded(self):
+        # in a child process: without the bound the grid grows until killed
+        proc = run_process(
+            ["check-condition", "--law", "poisson:2", "--grid-size", str(10**12)], timeout=20)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert proc.stdout == ""
+
+    def test_grid_size_at_bound(self):
+        code, text = run_capture(
+            ["check-condition", "--law", "poisson:2", "--grid-size", str(10**6)])
+        assert code == 0
+        assert text.splitlines()[1].split(",")[1] == "true"
 
 
 class TestSimulateCommand:
@@ -129,3 +167,21 @@ class TestErrors:
     def test_unknown_flag(self):
         code, _ = run_capture(["speed", "--law", "pmf:0,0,1", "--p", "0.75", "--bogus"])
         assert code == 1
+
+    def test_near_critical_is_row_or_numerical_error(self):
+        # rho converges here; the delay identity gate may then trip
+        proc = run_process(["speed", "--law", "poisson:2", "--p", "0.5000001"])
+        assert proc.returncode in (0, 2)
+        assert "Traceback" not in proc.stderr
+        if proc.returncode == 2:
+            assert "error:" in proc.stderr
+
+    def test_internal_inconsistency_exits_2(self, monkeypatch, capsys):
+        def disagree(*_):
+            raise InternalInconsistency("routes disagree")
+
+        monkeypatch.setattr("gwspeed.cli.sweep", disagree)
+        code, text = run_capture(["speed", "--law", "pmf:0,0,1", "--p", "0.75"])
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err.startswith("internal inconsistency error:")

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,6 +16,7 @@ from gwspeed import (
     bush_mean_size,
     bush_pmf,
     mean_excursions,
+    parse_law,
     rho_derivative,
     solve_rho,
     thinned_pmf,
@@ -37,6 +39,32 @@ P_GRID = np.arange(0.55, 1.0, 0.05)
 # for Poisson(2) at p = 0.9, tol-free
 POISSON_RHO_09 = 0.26757003336323354
 
+# PGFs f and f' in mpmath arithmetic, from the same float parameters
+Q = mpmath.mpf(0.8)
+MP_PGFS = {
+    "poisson:2": (lambda s: mpmath.exp(2 * (s - 1)), lambda s: 2 * mpmath.exp(2 * (s - 1))),
+    "binomial:3,0.8": (lambda s: (1 - Q + Q * s) ** 3, lambda s: 3 * Q * (1 - Q + Q * s) ** 2),
+    "pmf:0,0,1": (lambda s: s**2, lambda s: 2 * s),
+}
+
+
+def rho_oracle(spec, p):
+    """(rho, 1 - mhat) at 50 digits, by bisection: first for the minimum of
+    the convex g(x) = f(1-p+px) - x, then for its root to the left of it."""
+    f, df = MP_PGFS[spec]
+    with mpmath.workdps(50):
+        p = mpmath.mpf(p)
+
+        def bisect(fn, lo, hi):  # fn > 0 at lo, < 0 at hi
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if fn(mid) > 0 else (lo, mid)
+            return lo
+
+        x_min = bisect(lambda x: 1 - p * df(1 - p + p * x), mpmath.mpf(0), mpmath.mpf(1))
+        rho = bisect(lambda x: f(1 - p + p * x) - x, mpmath.mpf(0), x_min)
+        return rho, 1 - p * df(1 - p + p * rho)
+
 
 class TestSolveRho:
     @pytest.mark.parametrize("p", P_GRID)
@@ -54,6 +82,25 @@ class TestSolveRho:
     def test_poisson_long_iteration_oracle(self):
         rho, _ = solve_rho(Poisson(2.0), 0.9, tol=1e-14)
         assert rho == pytest.approx(POISSON_RHO_09, abs=1e-10)
+
+    @pytest.mark.parametrize("gap", [1e-1, 1e-2, 1e-4, 1e-6, 1e-7])
+    @pytest.mark.parametrize("spec", sorted(MP_PGFS))
+    def test_high_precision_oracle(self, spec, gap):
+        law = parse_law(spec)
+        p = 1 / law.mean() + gap
+        rho, _ = solve_rho(law, p)
+        exact, slope = rho_oracle(spec, p)
+        # the root's conditioning is 1/|g'(rho)| = 1/(1 - mhat)
+        bound = 1e-12 if gap >= 1e-4 else 1e-12 + 1e-15 / float(slope)
+        assert abs(rho - float(exact)) <= bound
+
+    @pytest.mark.parametrize("gap", [1e-9, 1e-11, 1e-13])
+    @pytest.mark.parametrize("spec", ["pmf:0,0,1", "poisson:2", "binomial:40,0.1"])
+    def test_unresolvable_root_is_an_error(self, spec, gap):
+        # closer to 1/m than this, roundoff cannot tell rho from the root 1
+        law = parse_law(spec)
+        with pytest.raises(ConvergenceError):
+            solve_rho(law, 1 / law.mean() + gap)
 
     def test_rejects_subcritical_p(self):
         with pytest.raises(ModelError):

@@ -14,11 +14,12 @@ from gwspeed import (
     cluster_speed_at,
     eq1_speed,
     mean_delay,
+    parse_law,
     pipes_speed,
     sweep,
 )
 from gwspeed.percolation import backbone_pmf_iter
-from gwspeed.speed import _backbone_speed_closed, _backbone_speed_series
+from gwspeed.speed import CONDITION_SLACK, _backbone_speed_closed, _backbone_speed_series
 
 BINARY = FinitePmf([0, 0, 1])
 
@@ -30,6 +31,33 @@ LAWS = {
 }
 
 P_GRID = np.arange(0.55, 1.0, 0.05)
+
+PMF20 = parse_law("pmf:0.05,0.1,0.1,0.1,0.08,0.08,0.07,0.06,0.06,0.05,0.05,0.04,0.04,"
+                  "0.03,0.03,0.02,0.02,0.01,0.005,0.005")
+CONDITION_LAWS = {
+    **LAWS,
+    "geometric:0.5": Geometric(0.5),
+    **{f"regular:{d}": FinitePmf([0] * d + [1]) for d in (3, 5)},
+    "binomial:40,0.1": Binomial(40, 0.1),
+    "pmf20": PMF20,
+}
+
+
+def check_condition_reference(law, grid_size):
+    """check_condition as a scalar loop over the grid, one PGF call per value."""
+    lo = 1.0 / law.mean()
+    s_cut = 1.0 - 1e-6
+
+    def h(s):
+        if s >= s_cut:
+            s = s_cut
+        return (1.0 - s) * law.pgf_derivative(s, 1) / (1.0 - law.pgf_derivative(s, 0))
+
+    step = (1.0 - lo) / (grid_size + 1)
+    values = [h(lo + (i + 1) * step) for i in range(grid_size)]
+    worst = min(b - a for a, b in zip(values, values[1:]))
+    return worst >= -CONDITION_SLACK, worst
+
 
 # frozen pre-build grid search on the closed form, step 1e-4 over (0.5, 1)
 PIPES_ARGMAX = 0.8198
@@ -149,6 +177,16 @@ class TestCheckCondition:
     def test_regular_tree(self, d):
         ok, _ = check_condition(FinitePmf([0] * d + [1]), 2000)
         assert ok
+
+    @pytest.mark.parametrize("grid_size", [2000, 10**4])
+    @pytest.mark.parametrize("name", sorted(CONDITION_LAWS))
+    def test_matches_scalar_reference(self, name, grid_size):
+        law = CONDITION_LAWS[name]
+        ok, worst = check_condition(law, grid_size)
+        ref_ok, ref_worst = check_condition_reference(law, grid_size)
+        assert ok == ref_ok
+        assert type(worst) is float
+        assert abs(worst - ref_worst) <= 1e-12
 
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):
