@@ -8,6 +8,7 @@ are printed with 12 significant digits so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -65,7 +66,9 @@ def _parse_grid(text: str) -> list[float]:
     return grid
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser unchanged
     parser = argparse.ArgumentParser(
         prog="gwspeed",
         description="Speed of the simple random walk on percolated Galton-Watson trees.",
@@ -186,7 +189,7 @@ def run(argv: list[str] | None = None, out=None) -> int:
     """Parse argv, run the command, write rows to `out` (default stdout).
 
     Exit codes: 0 success, 1 input error, 2 numerical failure (no
-    convergence, or two routes to one quantity disagree).
+    convergence, an overflow, or two routes to one quantity disagree).
     """
     out = out if out is not None else sys.stdout
     parser = _build_parser()
@@ -204,6 +207,10 @@ def run(argv: list[str] | None = None, out=None) -> int:
         return 2
     except InternalInconsistency as exc:
         print(f"internal inconsistency error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        # PGF derivatives of a large-support law overflow a float
+        print(f"numerical error: {exc}", file=sys.stderr)
         return 2
     _emit(rows, args.format, out)
     return 0

@@ -10,7 +10,7 @@ caller-supplied numpy Generator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,22 +71,27 @@ class OffspringLaw:
 
     def support_iter(self):
         """Yield (k, p_k) covering all but TAIL_MASS of the law."""
-        cum = 0.0
-        cap = self.max_support
-        k = 0
-        while True:
-            pk = self.pmf(k)
-            yield k, pk
-            cum += pk
-            if cap is not None and k >= cap:
+        return truncated_support(self.pmf, 0, self.max_support)
+
+
+def truncated_support(term, start: int, cap: int | None):
+    """Yield (k, term(k)) for k = start, start+1, ... up to the law's
+    `cap` = max_support, or, with infinite support, until all but
+    TAIL_MASS of the mass is covered; never past SUPPORT_CAP."""
+    cum = 0.0
+    k = start
+    while True:
+        pk = term(k)
+        yield k, pk
+        cum += pk
+        if cap is not None:
+            if k >= cap:
                 return
-            if cap is None and (1.0 - cum) < TAIL_MASS:
-                return
-            if cap is None and pk < 1e-17 and cum > 0.5:
-                return  # roundoff keeps cum short of 1; terms are negligible
-            if k >= SUPPORT_CAP:
-                return
-            k += 1
+        elif 1.0 - cum < TAIL_MASS or (pk < 1e-17 and cum > 0.5):
+            return  # roundoff may keep cum short of 1; such terms are negligible
+        if k >= SUPPORT_CAP:
+            return
+        k += 1
 
 
 @dataclass(frozen=True)
@@ -274,10 +279,3 @@ def parse_law(spec: str) -> OffspringLaw:
 def pgf_derivative(law: OffspringLaw, s: float, order: int = 0) -> float:
     return law.pgf_derivative(s, order)
 
-
-def mean(law: OffspringLaw) -> float:
-    return law.mean()
-
-
-def sample(law: OffspringLaw, rng: np.random.Generator) -> int:
-    return law.sample(rng)

@@ -9,15 +9,11 @@ excursion count N(p, k).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
-from .offspring import (
-    SUPPORT_CAP,
-    TAIL_MASS,
-    LawError,
-    OffspringLaw,
-)
+from .offspring import OffspringLaw, truncated_support
 
 DEFAULT_TOL = 1e-12
 MAX_NEWTON_ITER = 200
@@ -189,59 +185,14 @@ def mean_excursions(model: PercolatedModel, k: int) -> float:
 
 def thinned_pmf_iter(model: PercolatedModel):
     """Yield (l, pbar_l) covering all but TAIL_MASS of the thinned law."""
-    cap = model.law.max_support
-    cum = 0.0
-    l = 0
-    while True:
-        pl = thinned_pmf(model, l)
-        yield l, pl
-        cum += pl
-        if cap is not None and l >= cap:
-            return
-        if cap is None and (1.0 - cum) < TAIL_MASS:
-            return
-        if cap is None and pl < 1e-17 and cum > 0.5:
-            return  # roundoff keeps cum short of 1; terms are negligible
-        if l >= SUPPORT_CAP:
-            return
-        l += 1
+    return truncated_support(functools.partial(thinned_pmf, model), 0, model.law.max_support)
 
 
 def backbone_pmf_iter(model: PercolatedModel):
     """Yield (k, ptilde_k) for k >= 1 covering all but TAIL_MASS."""
-    cap = model.law.max_support
-    cum = 0.0
-    k = 1
-    while True:
-        pk = backbone_pmf(model, k)
-        yield k, pk
-        cum += pk
-        if cap is not None and k >= cap:
-            return
-        if cap is None and (1.0 - cum) < TAIL_MASS:
-            return
-        if cap is None and pk < 1e-17 and cum > 0.5:
-            return  # roundoff keeps cum short of 1; terms are negligible
-        if k >= SUPPORT_CAP:
-            return
-        k += 1
+    return truncated_support(functools.partial(backbone_pmf, model), 1, model.law.max_support)
 
 
 def bush_pmf_iter(model: PercolatedModel):
     """Yield (k, phat_k) for k >= 0 covering all but TAIL_MASS."""
-    cap = model.law.max_support
-    cum = 0.0
-    k = 0
-    while True:
-        pk = bush_pmf(model, k)
-        yield k, pk
-        cum += pk
-        if cap is not None and k >= cap:
-            return
-        if cap is None and (1.0 - cum) < TAIL_MASS:
-            return
-        if cap is None and pk < 1e-17 and cum > 0.5:
-            return  # roundoff keeps cum short of 1; terms are negligible
-        if k >= SUPPORT_CAP:
-            return
-        k += 1
+    return truncated_support(functools.partial(bush_pmf, model), 0, model.law.max_support)

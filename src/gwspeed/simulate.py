@@ -20,6 +20,7 @@ from .percolation import ModelError, PercolatedModel, bush_pmf_iter
 
 GREEN = 0
 RED = 1
+PIPE = 2
 
 MAX_REJECTIONS = 10**7
 DEFAULT_NODE_CAP = 10**8
@@ -71,18 +72,15 @@ class BushSampler:
 
 
 class Cluster:
-    """Append-only arena of lazily expanded cluster nodes."""
+    """Append-only flat arena of lazily expanded cluster nodes.
 
-    __slots__ = (
-        "model",
-        "bush_sampler",
-        "parent",
-        "depth",
-        "color",
-        "children",
-        "expanded",
-        "max_nodes",
-    )
+    An expansion creates all of a node's children at once, so they are
+    contiguous: the children of v are first[v] .. first[v]+nchild[v]-1,
+    and nchild[v] < 0 means v is not expanded yet.
+    """
+
+    __slots__ = ("model", "bush_sampler", "max_nodes",
+                 "parent", "depth", "color", "first", "nchild")
 
     def __init__(self, model: PercolatedModel, bush_sampler: BushSampler | None = None,
                  max_nodes: int = DEFAULT_NODE_CAP):
@@ -91,63 +89,101 @@ class Cluster:
             bush_sampler = BushSampler(model)
         self.bush_sampler = bush_sampler
         self.max_nodes = max_nodes
-        # root: green, no parent, depth 0
+        # root: green, no parent, depth 0, not expanded
         self.parent = [-1]
         self.depth = [0]
         self.color = [GREEN]
-        self.children = [[]]
-        self.expanded = [False]
+        self.first = [0]
+        self.nchild = [-1]
 
-    def _add_node(self, parent: int, color: int) -> int:
-        node = len(self.parent)
-        if node >= self.max_nodes:
+    def _reserve(self, n: int) -> int:
+        """Index of the next node, once n more nodes fit under the cap."""
+        start = len(self.parent)
+        if start + n > self.max_nodes:
             raise SimulationError(f"arena capacity {self.max_nodes} exhausted")
-        self.parent.append(parent)
-        self.depth.append(self.depth[parent] + 1)
-        self.color.append(color)
-        self.children.append([])
-        self.expanded.append(False)
-        self.children[parent].append(node)
-        return node
+        return start
 
-    def expand_green(self, node: int, rng: np.random.Generator) -> list[int]:
+    def _attach(self, node: int, greens: int, reds: int, rng: np.random.Generator) -> range:
+        """Append `greens` green then `reds` red unexpanded children of node;
+        `rng` serves subclasses that grow more nodes here."""
+        n = greens + reds
+        start = self._reserve(n)
+        self.parent.extend([node] * n)
+        self.depth.extend([self.depth[node] + 1] * n)
+        self.color.extend([GREEN] * greens + [RED] * reds)
+        self.first.extend([0] * n)
+        self.nchild.extend([-1] * n)
+        self.first[node] = start
+        self.nchild[node] = n
+        return range(start, start + n)
+
+    def _thinned_count(self, rng: np.random.Generator) -> int:
+        """Number of open edges below a vertex: a p-thinned law draw."""
+        k = self.model.law.sample(rng)
+        return int(rng.binomial(k, self.model.p)) if k else 0
+
+    def expand_green(self, node: int, rng: np.random.Generator) -> range:
         """Attach children per the thinned law, colored green w.p. 1-rho,
         rejecting whole assignments until at least one green child exists."""
-        if self.color[node] != GREEN or self.expanded[node]:
+        if self.color[node] != GREEN or self.nchild[node] >= 0:
             raise SimulationError("expand_green needs an unexpanded green node")
-        model = self.model
-        law, p, rho = model.law, model.p, model.rho
+        rho = self.model.rho
         for _ in range(MAX_REJECTIONS):
-            k = law.sample(rng)
-            c = int(rng.binomial(k, p)) if k else 0
+            c = self._thinned_count(rng)
             if c == 0:
                 continue
             greens = int(rng.binomial(c, 1.0 - rho)) if rho > 0.0 else c
             if greens == 0:
                 continue
-            for _ in range(greens):
-                self._add_node(node, GREEN)
-            for _ in range(c - greens):
-                self._add_node(node, RED)
-            self.expanded[node] = True
-            return self.children[node]
+            return self._attach(node, greens, c - greens, rng)
         raise SimulationError("green expansion exceeded the rejection cap (rho off?)")
 
-    def expand_red(self, node: int, rng: np.random.Generator) -> list[int]:
+    def expand_red(self, node: int, rng: np.random.Generator) -> range:
         """Attach an all-red batch of children drawn from the bush law."""
-        if self.color[node] != RED or self.expanded[node]:
+        if self.color[node] != RED or self.nchild[node] >= 0:
             raise SimulationError("expand_red needs an unexpanded red node")
         if self.bush_sampler is None:
             raise ModelError("rho = 0: red vertices cannot exist")
-        for _ in range(self.bush_sampler.sample(rng)):
-            self._add_node(node, RED)
-        self.expanded[node] = True
-        return self.children[node]
+        return self._attach(node, 0, self.bush_sampler.sample(rng), rng)
 
-    def expand(self, node: int, rng: np.random.Generator) -> list[int]:
+    def expand(self, node: int, rng: np.random.Generator) -> range:
         if self.color[node] == GREEN:
             return self.expand_green(node, rng)
         return self.expand_red(node, rng)
+
+
+class PipesCluster(Cluster):
+    """Binary-tree skeleton cluster where every skeleton vertex carries a
+    pipe: a dangling path of geometric(1-p) many open edges.
+
+    The pipe's first node follows the skeleton children, so it is the
+    last child of its vertex; pipe node i has the single child i+1 and the
+    last pipe node has none. Pipe nodes are built expanded.
+    """
+
+    __slots__ = ()
+
+    def _thinned_count(self, rng: np.random.Generator) -> int:
+        return int(rng.binomial(2, self.model.p))
+
+    def _attach(self, node: int, greens: int, reds: int, rng: np.random.Generator) -> range:
+        kids = super()._attach(node, greens, reds, rng)
+        # pipe length: consecutive open edges before the first closed one,
+        # P(L = l) = p^l (1-p), mean p/(1-p)
+        length = int(rng.geometric(1.0 - self.model.p)) - 1
+        if length == 0:
+            return kids
+        start = self._reserve(length)
+        end = start + length
+        self.parent.append(node)
+        self.parent.extend(range(start, end - 1))
+        self.depth.extend(range(self.depth[node] + 1, self.depth[node] + 1 + length))
+        self.color.extend([PIPE] * length)
+        self.first.extend(range(start + 1, end + 1))
+        self.nchild.extend([1] * (length - 1))
+        self.nchild.append(0)
+        self.nchild[node] += 1
+        return range(kids.start, kids.stop + 1)
 
 
 def run_walk(model: PercolatedModel, horizon: int, rng: np.random.Generator,
@@ -159,76 +195,66 @@ def run_walk(model: PercolatedModel, horizon: int, rng: np.random.Generator,
     return _walk(cluster, horizon, rng)
 
 
-def _walk(cluster: Cluster, horizon: int, rng: np.random.Generator) -> int:
+def _walk(cluster: Cluster, horizon: int, rng: np.random.Generator,
+          path: list[int] | None = None) -> int:
+    """Walk `horizon` steps from the root, expanding nodes on first visit;
+    return the final depth, appending each visited node to `path` if given.
+
+    One uniform per step, drawn in blocks of _UNIFORM_BLOCK; a node with
+    n children goes to its parent when int(u (n+1)) is 0 and to child
+    int(u (n+1)) - 1 otherwise, and the root goes to child int(u n).
+    """
     parent = cluster.parent
-    children = cluster.children
-    expanded = cluster.expanded
+    first = cluster.first
+    nchild = cluster.nchild
     expand = cluster.expand
 
-    buf = rng.random(_UNIFORM_BLOCK)
+    buf = rng.random(_UNIFORM_BLOCK).tolist()
     pos = 0
     cur = 0
     for _ in range(horizon):
-        if not expanded[cur]:
-            expand(cur, rng)
-        ch = children[cur]
-        par = parent[cur]
+        n = nchild[cur]
+        if n < 0:
+            n = len(expand(cur, rng))
         if pos == _UNIFORM_BLOCK:
-            buf = rng.random(_UNIFORM_BLOCK)
+            buf = rng.random(_UNIFORM_BLOCK).tolist()
             pos = 0
         u = buf[pos]
         pos += 1
-        if par >= 0:
-            j = int(u * (len(ch) + 1))
-            cur = par if j == 0 else ch[j - 1]
+        if cur:
+            j = int(u * (n + 1))
+            cur = parent[cur] if j == 0 else first[cur] + j - 1
         else:
-            cur = ch[int(u * len(ch))]
+            cur = first[0] + int(u * n)
+        if path is not None:
+            path.append(cur)
     return cluster.depth[cur]
 
 
 def walk_path(cluster: Cluster, horizon: int, rng: np.random.Generator) -> list[int]:
-    """Like _walk but records the visited node ids (root included).
-
-    Consumes randomness exactly as _walk does, so the final node's depth
-    equals run_walk's return value for an identically seeded rng.
-    """
-    parent = cluster.parent
-    children = cluster.children
-    expanded = cluster.expanded
-
-    buf = rng.random(_UNIFORM_BLOCK)
-    pos = 0
-    cur = 0
+    """The visited node ids, root included. Consumes randomness exactly
+    as run_walk, so the last node's depth is run_walk's result."""
     path = [0]
-    for _ in range(horizon):
-        if not expanded[cur]:
-            cluster.expand(cur, rng)
-        ch = children[cur]
-        par = parent[cur]
-        if pos == _UNIFORM_BLOCK:
-            buf = rng.random(_UNIFORM_BLOCK)
-            pos = 0
-        u = buf[pos]
-        pos += 1
-        if par >= 0:
-            j = int(u * (len(ch) + 1))
-            cur = par if j == 0 else ch[j - 1]
-        else:
-            cur = ch[int(u * len(ch))]
-        path.append(cur)
+    _walk(cluster, horizon, rng, path)
     return path
 
 
-def _replica_rng(seed: int, replica: int) -> np.random.Generator:
-    # documented splitting rule: sub-stream r is default_rng([seed, r])
-    return np.random.default_rng([seed, replica])
+def _estimate(new_cluster, horizon: int, replicas: int, seed: int,
+              law_spec: str, p: float) -> WalkEstimate:
+    """Mean and standard error of |X_T|/T over independent replicas.
 
-
-def _aggregate(speeds, replicas, horizon, seed, law_spec, p) -> WalkEstimate:
-    arr = np.asarray(speeds, dtype=float)
+    Replica r walks on a fresh cluster from new_cluster() with its own rng
+    sub-stream default_rng([seed, r]), so any replica reproduces in isolation.
+    """
+    if horizon < 10**3:
+        raise ValueError(f"horizon must be >= 1000, got {horizon}")
+    if replicas < 2:
+        raise ValueError(f"replicas must be >= 2, got {replicas}")
+    speeds = np.array([_walk(new_cluster(), horizon, np.random.default_rng([seed, r])) / horizon
+                       for r in range(replicas)])
     return WalkEstimate(
-        speed_hat=float(arr.mean()),
-        std_error=float(arr.std(ddof=1) / math.sqrt(replicas)),
+        speed_hat=float(speeds.mean()),
+        std_error=float(speeds.std(ddof=1) / math.sqrt(replicas)),
         replicas=replicas,
         horizon=horizon,
         seed=seed,
@@ -239,132 +265,17 @@ def _aggregate(speeds, replicas, horizon, seed, law_spec, p) -> WalkEstimate:
 
 def estimate_speed(model: PercolatedModel, horizon: int, replicas: int,
                    seed: int) -> WalkEstimate:
-    """Mean and standard error of |X_T|/T over independent replicas.
-
-    Each replica walks on a fresh independently sampled cluster with its
-    own rng sub-stream, so any replica reproduces in isolation.
-    """
-    if horizon < 10**3:
-        raise ValueError(f"horizon must be >= 1000, got {horizon}")
-    if replicas < 2:
-        raise ValueError(f"replicas must be >= 2, got {replicas}")
+    """Monte Carlo speed on the percolation cluster of `model` (see _estimate)."""
     sampler = BushSampler(model) if model.rho > 0.0 else None
-    speeds = []
-    for r in range(replicas):
-        rng = _replica_rng(seed, r)
-        cluster = Cluster(model, bush_sampler=sampler)
-        speeds.append(_walk(cluster, horizon, rng) / horizon)
-    return _aggregate(speeds, replicas, horizon, seed,
-                      model.law.spec_string(), model.p)
-
-
-class PipesCluster:
-    """Binary-tree skeleton cluster where every skeleton vertex carries a
-    pipe: a dangling path of geometric(1-p) many open edges."""
-
-    __slots__ = ("skeleton", "p", "bush_sampler", "parent", "depth",
-                 "children", "pending")
-
-    def __init__(self, skeleton_model: PercolatedModel):
-        self.skeleton = skeleton_model
-        self.p = skeleton_model.p
-        self.bush_sampler = BushSampler(skeleton_model)
-        self.parent = [-1]
-        self.depth = [0]
-        # children[node] is None until the node is expanded
-        self.children = [None]
-        # colors of not-yet-expanded skeleton vertices; pipe vertices
-        # are fully built at creation and never appear here
-        self.pending = {0: GREEN}
-
-    def _add_skeleton(self, parent_node: int, color: int) -> int:
-        node = len(self.parent)
-        self.parent.append(parent_node)
-        self.depth.append(self.depth[parent_node] + 1)
-        self.children.append(None)
-        self.children[parent_node].append(node)
-        self.pending[node] = color
-        return node
-
-    def _add_pipe(self, root: int, length: int) -> None:
-        prev = root
-        for _ in range(length):
-            node = len(self.parent)
-            self.parent.append(prev)
-            self.depth.append(self.depth[prev] + 1)
-            self.children.append([])
-            self.children[prev].append(node)
-            prev = node
-
-    def expand(self, node: int, rng: np.random.Generator) -> None:
-        color = self.pending.pop(node)
-        self.children[node] = []
-        skel = self.skeleton
-        if color == GREEN:
-            for _ in range(MAX_REJECTIONS):
-                c = int(rng.binomial(2, skel.p))
-                if c == 0:
-                    continue
-                greens = int(rng.binomial(c, 1.0 - skel.rho))
-                if greens == 0:
-                    continue
-                for _ in range(greens):
-                    self._add_skeleton(node, GREEN)
-                for _ in range(c - greens):
-                    self._add_skeleton(node, RED)
-                break
-            else:
-                raise SimulationError("green expansion exceeded the rejection cap")
-        else:
-            for _ in range(self.bush_sampler.sample(rng)):
-                self._add_skeleton(node, RED)
-        # pipe: number of consecutive open edges ~ failures before the
-        # first closed edge, P(L = l) = p^l (1-p), mean p/(1-p)
-        self._add_pipe(node, int(rng.geometric(1.0 - self.p)) - 1)
+    return _estimate(lambda: Cluster(model, bush_sampler=sampler), horizon, replicas,
+                     seed, model.law.spec_string(), model.p)
 
 
 def simulate_pipes(p: float, horizon: int, replicas: int, seed: int) -> WalkEstimate:
     """Monte Carlo speed on the percolated binary tree with pipes."""
     if not 0.5 < p < 1.0:
         raise ModelError(f"pipes simulation needs p in (1/2, 1), got {p}")
-    if horizon < 10**3:
-        raise ValueError(f"horizon must be >= 1000, got {horizon}")
-    if replicas < 2:
-        raise ValueError(f"replicas must be >= 2, got {replicas}")
     skeleton = PercolatedModel(FinitePmf([0.0, 0.0, 1.0]), p)
-    speeds = []
-    for r in range(replicas):
-        rng = _replica_rng(seed, r)
-        speeds.append(_walk_pipes(skeleton, horizon, rng) / horizon)
-    return _aggregate(speeds, replicas, horizon, seed, "pipes", p)
-
-
-def _walk_pipes(skeleton: PercolatedModel, horizon: int,
-                rng: np.random.Generator) -> int:
-    cluster = PipesCluster(skeleton)
-    parent = cluster.parent
-    children = cluster.children
-    expand = cluster.expand
-
-    buf = rng.random(_UNIFORM_BLOCK)
-    pos = 0
-    cur = 0
-    for _ in range(horizon):
-        if children[cur] is None:
-            expand(cur, rng)
-        ch = children[cur]
-        par = parent[cur]
-        if pos == _UNIFORM_BLOCK:
-            buf = rng.random(_UNIFORM_BLOCK)
-            pos = 0
-        u = buf[pos]
-        pos += 1
-        deg = len(ch) + (par >= 0)
-        if deg == 0:
-            continue  # isolated root with no open edges cannot occur (green)
-        if par >= 0:
-            j = int(u * deg)
-            cur = par if j == 0 else ch[j - 1]
-        else:
-            cur = ch[int(u * deg)]
-    return cluster.depth[cur]
+    sampler = BushSampler(skeleton)
+    return _estimate(lambda: PipesCluster(skeleton, bush_sampler=sampler), horizon,
+                     replicas, seed, "pipes", p)

@@ -185,3 +185,24 @@ class TestErrors:
         assert code == 2
         assert text == ""
         assert capsys.readouterr().err.startswith("internal inconsistency error:")
+
+    @pytest.mark.parametrize("law", ["binomial:400,0.5", "poisson:200",
+                                     "pmf:" + ",".join(["1"] * 200)],
+                             ids=["binomial:400,0.5", "poisson:200", "pmf-200-weights"])
+    def test_pgf_overflow_is_numerical_error(self, law):
+        proc = run_process(["speed", "--law", law, "--p", "0.5"])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("numerical error:")
+
+
+class TestParserReuse:
+    def test_rows_unchanged_after_a_failed_parse(self, capsys):
+        argv = ["speed", "--law", "poisson:2", "--p", "0.8"]
+        code, first = run_capture(argv)
+        assert code == 0
+        assert run_capture(["rho", "--p", "2"])[0] == 1
+        code, again = run_capture(argv)
+        assert code == 0
+        assert again == first

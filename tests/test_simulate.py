@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -11,12 +12,23 @@ from gwspeed import (
     bush_mean_size,
     cluster_speed,
     estimate_speed,
+    parse_law,
     pipes_speed,
     run_walk,
     simulate_pipes,
     thinned_pmf,
 )
-from gwspeed.simulate import GREEN, RED, BushSampler, Cluster, walk_path
+from gwspeed.cli import run
+from gwspeed.simulate import (
+    GREEN,
+    PIPE,
+    RED,
+    BushSampler,
+    Cluster,
+    PipesCluster,
+    SimulationError,
+    walk_path,
+)
 
 BINARY = FinitePmf([0, 0, 1])
 
@@ -107,8 +119,8 @@ class TestExpandRed:
         n = 10**5
         sizes = np.empty(n)
         cluster = Cluster(m, bush_sampler=sampler)
-        for i in range(n):
-            root = cluster._add_node(0, RED)
+        roots = cluster._attach(0, 0, n, rng)  # n red children of the root
+        for i, root in enumerate(roots):
             sizes[i] = self._grow_bush(cluster, root, rng)
         se = sizes.std(ddof=1) / math.sqrt(n)
         assert abs(sizes.mean() - bush_mean_size(m)) <= 5 * se
@@ -155,14 +167,14 @@ class TestRunWalk:
         m = binary_model(1.0)
         rng = np.random.default_rng(8)
         c = Cluster(m)
-        c.expand(0, rng)
-        for node in list(c.children[0]):
+        for node in c.expand(0, rng):
             c.expand(node, rng)
         for node in range(len(c.parent)):
-            if not c.expanded[node]:
-                c.expanded[node] = True  # leaves: degree 1, ball frozen
-        vertex = c.children[0][0]
-        neighbors = [c.parent[vertex]] + list(c.children[vertex])
+            if c.nchild[node] < 0:
+                c.nchild[node] = 0  # leaves: degree 1, ball frozen
+        vertex = c.first[0]
+        neighbors = [c.parent[vertex]] + list(range(c.first[vertex],
+                                                    c.first[vertex] + c.nchild[vertex]))
         assert len(neighbors) == 3
         path = walk_path(c, 10**5, rng)
         exits = {nb: 0 for nb in neighbors}
@@ -173,6 +185,50 @@ class TestRunWalk:
         assert total > 1000
         chi2 = sum((obs - total / 3) ** 2 / (total / 3) for obs in exits.values())
         assert chi2 < 9.21
+
+
+class TestArenaInvariants:
+    @pytest.mark.parametrize("new_cluster", [
+        lambda: Cluster(binary_model()),
+        lambda: Cluster(PercolatedModel(parse_law("poisson:2"), 0.8)),
+        lambda: PipesCluster(binary_model(0.8)),
+    ], ids=["binary", "poisson:2", "pipes"])
+    def test_children_contiguous_and_counted(self, new_cluster):
+        c = new_cluster()
+        path = walk_path(c, 20000, np.random.default_rng(12))
+        expanded = [v for v in range(len(c.parent)) if c.nchild[v] >= 0]
+        assert len(expanded) > 100
+        for v in expanded:
+            for ch in range(c.first[v], c.first[v] + c.nchild[v]):
+                assert c.parent[ch] == v
+                assert c.depth[ch] == c.depth[v] + 1
+        # node counter consistency: the root plus every child ever attached
+        assert len(c.parent) == 1 + sum(c.nchild[v] for v in expanded)
+        assert len(c.depth) == len(c.color) == len(c.first) == len(c.nchild) == len(c.parent)
+        # every step moves along an edge of the arena
+        for here, nxt in zip(path, path[1:]):
+            assert c.parent[nxt] == here or c.parent[here] == nxt
+
+    def test_pipe_nodes_form_chains(self):
+        c = PipesCluster(binary_model(0.8))
+        walk_path(c, 20000, np.random.default_rng(12))
+        pipe = [v for v in range(len(c.parent)) if c.color[v] == PIPE]
+        assert len(pipe) > 100
+        for v in pipe:
+            assert 0 <= c.nchild[v] <= 1
+            if c.nchild[v]:
+                assert c.first[v] == v + 1
+        # a skeleton vertex's pipe head is its last child
+        for v in range(len(c.parent)):
+            if c.color[v] != PIPE and c.nchild[v] > 0:
+                kids = range(c.first[v], c.first[v] + c.nchild[v])
+                assert all(c.color[k] != PIPE for k in kids[:-1])
+
+    def test_node_cap_applies_to_pipes(self):
+        c = PipesCluster(binary_model(0.95), max_nodes=50)
+        with pytest.raises(SimulationError):
+            walk_path(c, 10**4, np.random.default_rng(0))
+        assert len(c.parent) <= 50
 
 
 class TestEstimateSpeed:
@@ -238,3 +294,45 @@ class TestSimulatePipes:
             simulate_pipes(0.5, 2000, 8, 0)
         with pytest.raises(ModelError):
             simulate_pipes(1.0, 2000, 8, 0)
+
+
+class TestSeededGolden:
+    """Seeded output pinned verbatim. A change to the random stream must
+    edit these strings and announce the new contract in CHANGES.md."""
+
+    SIMULATE_CSV = (
+        "p,speed_hat,std_error,replicas,horizon,seed,analytic,z\n"
+        "0.75,0.1368625,0.00188491544903,16,10000,42,0.133333333333,1.8723209407\n"
+    )
+    PIPES_CSV = (
+        "p,closed_form,speed_hat,std_error,replicas,horizon,seed,z\n"
+        "0.8,0.0136587142597,0.0429875,0.00138665890423,16,10000,7,21.1506850394\n"
+    )
+    ESTIMATES = {
+        "poisson:2": "WalkEstimate(speed_hat=0.08404999999999999, "
+                     "std_error=0.0018144328774211149, replicas=16, horizon=10000, "
+                     "seed=42, law_spec='poisson:2.0', p=0.8)",
+        "geometric:0.6667": "WalkEstimate(speed_hat=0.0403875, "
+                            "std_error=0.001125236086339218, replicas=16, horizon=10000, "
+                            "seed=42, law_spec='geometric:0.6667', p=0.8)",
+    }
+
+    @staticmethod
+    def _cli(argv):
+        out = io.StringIO()
+        assert run(argv, out=out) == 0
+        return out.getvalue()
+
+    def test_simulate_csv(self):
+        assert self._cli(["simulate", "--law", "pmf:0,0,1", "--p", "0.75",
+                          "--horizon", "10000", "--replicas", "16",
+                          "--seed", "42"]) == self.SIMULATE_CSV
+
+    def test_pipes_csv(self):
+        assert self._cli(["pipes", "--p", "0.8", "--simulate", "--horizon", "10000",
+                          "--replicas", "16", "--seed", "7"]) == self.PIPES_CSV
+
+    @pytest.mark.parametrize("spec", sorted(ESTIMATES))
+    def test_estimate_repr(self, spec):
+        est = estimate_speed(PercolatedModel(parse_law(spec), 0.8), 10**4, 16, 42)
+        assert repr(est) == self.ESTIMATES[spec]
