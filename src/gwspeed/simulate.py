@@ -6,16 +6,24 @@ is conditioned on producing at least one green child by rejection),
 red vertices head finite bushes drawn from the subcritical bush law.
 A simple random walk runs on the lazily expanded cluster and the speed
 is estimated as |X_T| / T averaged over independent replicas.
+
+`_walk` over `Cluster` and `PipesCluster` is the readable reference kernel.
+`estimate_speed`, `simulate_pipes` and `run_walk` run the same walk in a
+compiled kernel (`_walk.c`, built by `_ckernel` on first use) that makes the
+same draws from numpy's own samplers in the same order, so its results and
+the generator's state afterwards are bit-identical; without a compiler they
+fall back to `_walk` with a warning.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .offspring import FinitePmf
+from .offspring import Binomial, FinitePmf, Geometric, Poisson
 from .percolation import ModelError, PercolatedModel, bush_pmf_iter
 
 GREEN = 0
@@ -25,10 +33,26 @@ PIPE = 2
 MAX_REJECTIONS = 10**7
 DEFAULT_NODE_CAP = 10**8
 _UNIFORM_BLOCK = 8192
+# the compiled arena indexes nodes with int32
+_INDEX_MAX = 2**31 - 1
+_INT64_MAX = 2**63 - 1
+# numpy's largest Poisson mean
+_POISSON_LAM_MAX = _INT64_MAX - math.sqrt(_INT64_MAX) * 10
+
+_GREEN_CAP = "green expansion exceeded the rejection cap (rho off?)"
+_BUSH_CAP = "bush sampler exceeded the rejection cap"
+# law kinds and status codes of `_walk.c`
+_KERNEL_LAWS = {FinitePmf: 0, Geometric: 1, Poisson: 2, Binomial: 3}
+_KERNEL_PIPES = 4
+_STATUS_NODE_CAP, _STATUS_GREEN_CAP, _STATUS_BUSH_CAP, _STATUS_NO_MEMORY = 1, 2, 3, 4
 
 
 class SimulationError(RuntimeError):
     """Rejection cap or arena capacity exhausted."""
+
+
+def _node_cap(max_nodes: int) -> str:
+    return f"arena capacity {max_nodes} exhausted"
 
 
 @dataclass(frozen=True)
@@ -68,7 +92,7 @@ class BushSampler:
                 for k, c in enumerate(self.cdf):
                     if u < c:
                         return k
-        raise SimulationError("bush sampler exceeded the rejection cap")
+        raise SimulationError(_BUSH_CAP)
 
 
 class Cluster:
@@ -100,7 +124,7 @@ class Cluster:
         """Index of the next node, once n more nodes fit under the cap."""
         start = len(self.parent)
         if start + n > self.max_nodes:
-            raise SimulationError(f"arena capacity {self.max_nodes} exhausted")
+            raise SimulationError(_node_cap(self.max_nodes))
         return start
 
     def _attach(self, node: int, greens: int, reds: int, rng: np.random.Generator) -> range:
@@ -136,7 +160,7 @@ class Cluster:
             if greens == 0:
                 continue
             return self._attach(node, greens, c - greens, rng)
-        raise SimulationError("green expansion exceeded the rejection cap (rho off?)")
+        raise SimulationError(_GREEN_CAP)
 
     def expand_red(self, node: int, rng: np.random.Generator) -> range:
         """Attach an all-red batch of children drawn from the bush law."""
@@ -191,8 +215,77 @@ def run_walk(model: PercolatedModel, horizon: int, rng: np.random.Generator,
     """Walk `horizon` steps from the root of a fresh cluster; return |X_T|."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    cluster = Cluster(model, max_nodes=max_nodes)
-    return _walk(cluster, horizon, rng)
+    return _walker(lambda: Cluster(model, max_nodes=max_nodes), horizon)(rng)
+
+
+def _walker(new_cluster, horizon: int):
+    """rng -> |X_T| of a `horizon`-step walk on a fresh new_cluster().
+
+    It runs the compiled kernel, or `_walk` when the kernel cannot be built
+    or does not implement the cluster or its law; both make the same draws.
+    """
+    from . import _ckernel  # imported on first walk: `import gwspeed` loads no kernel
+
+    if horizon > _INT64_MAX:
+        raise ValueError(f"horizon must be < 2**63, got {horizon}")
+    prototype = new_cluster()
+    if not 1 <= prototype.max_nodes <= _INDEX_MAX:
+        raise ValueError(f"max_nodes must be in [1, 2**31 - 1], got {prototype.max_nodes}")
+    kernel = _ckernel.load()
+    params = _kernel_params(prototype, horizon) if kernel is not None else None
+    if params is None:
+        return lambda rng: _walk(new_cluster(), horizon, rng)
+    return lambda rng: _compiled_walk(kernel, params, rng)[0]
+
+
+def _kernel_params(cluster: Cluster, horizon: int):
+    """The compiled kernel's arguments for a walk on a fresh copy of
+    `cluster`, or None for a cluster or law it does not implement, or law
+    parameters numpy would reject (numpy then raises its own error)."""
+    from ._ckernel import WalkParams, doubles
+
+    model, law, sampler = cluster.model, cluster.model.law, cluster.bush_sampler
+    if type(cluster) is PipesCluster:
+        kind = _KERNEL_PIPES
+    elif type(cluster) is Cluster and type(law) in _KERNEL_LAWS:
+        kind = _KERNEL_LAWS[type(law)]
+    else:
+        return None
+    params = WalkParams(law=kind, p=model.p, rho=model.rho, max_rejections=MAX_REJECTIONS,
+                        max_nodes=cluster.max_nodes, horizon=horizon)
+    if isinstance(law, FinitePmf):
+        params.n, params.weights = len(law.weights), doubles(law.weights)
+    elif isinstance(law, Geometric):
+        params.a = law.a
+    elif isinstance(law, Poisson):
+        if law.mu > _POISSON_LAM_MAX:
+            return None
+        params.a = law.mu
+    else:
+        if law.n > _INT64_MAX:
+            return None
+        params.n, params.a = law.n, law.q
+    if sampler is not None:
+        params.cdf, params.ncdf = doubles(sampler.cdf), len(sampler.cdf)
+        params.coverage = sampler.coverage
+    return params
+
+
+def _compiled_walk(kernel, params, rng: np.random.Generator) -> tuple[int, int]:
+    """(final depth, nodes grown) of the compiled walk, drawing from `rng`."""
+    out = (ctypes.c_int64 * 2)()
+    bit_generator = rng.bit_generator
+    with bit_generator.lock:
+        status = kernel(bit_generator.ctypes.bit_generator, ctypes.byref(params), out)
+    if status == _STATUS_NODE_CAP:
+        raise SimulationError(_node_cap(params.max_nodes))
+    if status == _STATUS_GREEN_CAP:
+        raise SimulationError(_GREEN_CAP)
+    if status == _STATUS_BUSH_CAP:
+        raise SimulationError(_BUSH_CAP)
+    if status == _STATUS_NO_MEMORY:
+        raise MemoryError("compiled walk arena")
+    return out[0], out[1]
 
 
 def _walk(cluster: Cluster, horizon: int, rng: np.random.Generator,
@@ -250,7 +343,8 @@ def _estimate(new_cluster, horizon: int, replicas: int, seed: int,
         raise ValueError(f"horizon must be >= 1000, got {horizon}")
     if replicas < 2:
         raise ValueError(f"replicas must be >= 2, got {replicas}")
-    speeds = np.array([_walk(new_cluster(), horizon, np.random.default_rng([seed, r])) / horizon
+    walk = _walker(new_cluster, horizon)
+    speeds = np.array([walk(np.random.default_rng([seed, r])) / horizon
                        for r in range(replicas)])
     return WalkEstimate(
         speed_hat=float(speeds.mean()),
