@@ -3,8 +3,9 @@
 Four families are supported: a finite pmf, geometric, Poisson and
 binomial. Each law knows its probability generating function (PGF)
 f(s) = sum_k p_k s^k together with closed-form derivatives of every
-order, its mean, its pointwise pmf, and an exact sampler driven by a
-caller-supplied numpy Generator.
+order, its Taylor coefficients f^(k)(s)/k! (in log space for the three
+parametric families), its mean, its pointwise pmf, and an exact sampler
+driven by a caller-supplied numpy Generator.
 """
 
 from __future__ import annotations
@@ -44,8 +45,13 @@ class OffspringLaw:
         """(f(s), f'(s)) elementwise on an array of points in [0, 1]."""
         raise NotImplementedError
 
-    def pmf(self, k: int) -> float:
+    def taylor(self, s: float, k: int) -> float:
+        """f^(k)(s)/k!, the k-th Taylor coefficient of f at s in [0, 1]."""
         raise NotImplementedError
+
+    def pmf(self, k: int) -> float:
+        """p_k = f^(k)(0)/k!."""
+        return self.taylor(0.0, k) if k >= 0 else 0.0
 
     def mean(self) -> float:
         """m = f'(1), the mean number of offspring."""
@@ -127,6 +133,11 @@ class FinitePmf(OffspringLaw):
             f = f * s + w
         return f, df
 
+    def taylor(self, s: float, k: int) -> float:
+        # sum_{j>=k} p_j C(j,k) s^{j-k}; exactly 0 past support
+        return math.fsum(self.weights[j] * math.comb(j, k) * s ** (j - k)
+                         for j in range(k, len(self.weights)))
+
     def pmf(self, k: int) -> float:
         return self.weights[k] if 0 <= k < len(self.weights) else 0.0
 
@@ -169,8 +180,9 @@ class Geometric(OffspringLaw):
         d = 1 - a * s
         return (1 - a) / d, a * (1 - a) / d**2
 
-    def pmf(self, k: int) -> float:
-        return self.a**k * (1 - self.a) if k >= 0 else 0.0
+    def taylor(self, s: float, k: int) -> float:
+        a = self.a
+        return math.exp(k * math.log(a) + math.log1p(-a) - (k + 1) * math.log1p(-a * s))
 
     def sample(self, rng: np.random.Generator) -> int:
         # numpy geometric counts trials to first success (prob 1-a)
@@ -197,10 +209,9 @@ class Poisson(OffspringLaw):
         f = np.exp(self.mu * (s - 1.0))
         return f, self.mu * f
 
-    def pmf(self, k: int) -> float:
-        if k < 0:
-            return 0.0
-        return math.exp(-self.mu + k * math.log(self.mu) - math.lgamma(k + 1))
+    def taylor(self, s: float, k: int) -> float:
+        mu = self.mu
+        return math.exp(k * math.log(mu) + mu * (s - 1.0) - math.lgamma(k + 1))
 
     def sample(self, rng: np.random.Generator) -> int:
         return int(rng.poisson(self.mu))
@@ -233,10 +244,14 @@ class Binomial(OffspringLaw):
         base = 1.0 - q + q * s
         return base**n, n * q * base ** (n - 1)
 
-    def pmf(self, k: int) -> float:
-        if not 0 <= k <= self.n:
-            return 0.0
-        return math.comb(self.n, k) * self.q**k * (1 - self.q) ** (self.n - k)
+    def taylor(self, s: float, k: int) -> float:
+        n, q = self.n, self.q
+        base = 1.0 - q + q * s
+        if k > n or base == 0.0:  # base is 0 only for q = 1 at s = 0: all mass on n
+            return float(k == n)
+        # log C(n,k) from the exact integer; lgamma differences lose n log n ulps
+        return math.exp(math.log(math.comb(n, k)) + k * math.log(q)
+                        + (n - k) * math.log(base))
 
     def sample(self, rng: np.random.Generator) -> int:
         return int(rng.binomial(self.n, self.q))

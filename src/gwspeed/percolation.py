@@ -10,7 +10,6 @@ excursion count N(p, k).
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 from .offspring import OffspringLaw, truncated_support
@@ -116,14 +115,7 @@ def thinned_pmf(model: PercolatedModel, l: int) -> float:
     """
     if l < 0:
         raise ValueError(f"l must be >= 0, got {l}")
-    p = model.p
-    fl = model.f(1.0 - p, l)
-    if fl == 0.0:
-        return 0.0
-    if l < 170:
-        return p**l * fl / math.factorial(l)
-    # log space avoids factorial overflow deep in the tail
-    return math.exp(l * math.log(p) + math.log(fl) - math.lgamma(l + 1))
+    return model.p**l * model.law.taylor(1.0 - model.p, l)
 
 
 def rho_derivative(model: PercolatedModel) -> float:
@@ -141,17 +133,7 @@ def backbone_pmf(model: PercolatedModel, k: int) -> float:
         raise ValueError(f"k must be >= 0, got {k}")
     if k == 0:
         return 0.0
-    fk = model.f(model.lam, k)
-    if fk == 0.0:
-        return 0.0
-    if k < 170:
-        return fk / math.factorial(k) * model.p**k * (1.0 - model.rho) ** (k - 1)
-    return math.exp(
-        math.log(fk)
-        - math.lgamma(k + 1)
-        + k * math.log(model.p)
-        + (k - 1) * math.log1p(-model.rho)
-    )
+    return model.law.taylor(model.lam, k) * model.p**k * (1.0 - model.rho) ** (k - 1)
 
 
 def bush_pmf(model: PercolatedModel, k: int) -> float:
@@ -171,16 +153,14 @@ def bush_mean_size(model: PercolatedModel) -> float:
 
 
 def mean_excursions(model: PercolatedModel, k: int) -> float:
-    """N(p, k) = p rho / (k+1) * f^(k+1)(lambda) / f^(k)(lambda)."""
+    """N(p, k) = p rho / (k+1) * f^(k+1)(lambda) / f^(k)(lambda), i.e.
+    p rho c_{k+1} / c_k with c_k = f^(k)(lambda)/k!."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    fk = model.f(model.lam, k)
-    fk1 = model.f(model.lam, k + 1)
-    if fk == 0.0:
+    ck = model.law.taylor(model.lam, k)
+    if ck == 0.0:
         raise ModelError(f"f^({k})(lambda) = 0: backbone degree {k + 1} impossible")
-    if fk1 == 0.0:
-        return 0.0
-    return model.p * model.rho / (k + 1) * fk1 / fk
+    return model.p * model.rho * model.law.taylor(model.lam, k + 1) / ck
 
 
 def thinned_pmf_iter(model: PercolatedModel):

@@ -1,9 +1,11 @@
 """Analytic speed formulas for the walk on the percolated cluster.
 
-The backbone speed S(p) has two equivalent computations: a series over
-the backbone offspring law and a closed form summing over the original
-law. Both are evaluated and cross-asserted; the cluster speed is the
-backbone speed damped by the ergodic delay factor (1-rho)/(1+rho).
+One pass over the backbone offspring law ptilde (`_row`) gives both the
+backbone speed S(p), as a series, and the mean bush delay, from the
+law's tail. Each is cross-asserted against a second route: S against a
+closed form summing over the original law, the delay against the
+identity 2 rho/(1-rho). The cluster speed is the backbone speed damped
+by the ergodic delay factor (1-rho)/(1+rho).
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from .offspring import OffspringLaw
 from .percolation import (
     ModelError,
     PercolatedModel,
+    backbone_pmf,
     backbone_pmf_iter,
     bush_mean_size,
-    mean_excursions,
 )
 
 ROUTE_TOL = 1e-10
@@ -54,14 +56,6 @@ def eq1_speed(law: OffspringLaw) -> float:
     return total
 
 
-def _backbone_speed_series(model: PercolatedModel) -> float:
-    """S(p) as sum_k ptilde_k (k-1)/(k+1) over the backbone law."""
-    total = 0.0
-    for k, pk in backbone_pmf_iter(model):
-        total += pk * (k - 1) / (k + 1)
-    return total
-
-
 def _backbone_speed_closed(model: PercolatedModel) -> float:
     """S(p) = (1+rho)/(1-rho) - 2/((1-rho)^2 p) sum_n p_n (1-lam^{n+1})/(n+1)."""
     rho, lam, p = model.rho, model.lam, model.p
@@ -71,44 +65,56 @@ def _backbone_speed_closed(model: PercolatedModel) -> float:
     return (1.0 + rho) / (1.0 - rho) - 2.0 / ((1.0 - rho) ** 2 * p) * acc
 
 
-def backbone_speed(model: PercolatedModel) -> float:
-    """Speed S(p) of the walk on the backbone; both routes cross-checked."""
-    closed = _backbone_speed_closed(model)
-    series = _backbone_speed_series(model)
+def _row(model: PercolatedModel) -> tuple[float, float]:
+    """(S(p), mean delay) from one pass over the backbone law ptilde.
+
+    S(p) is the series sum_k ptilde_k (k-1)/(k+1); the closed form, which
+    cancels two terms of size 1/(1-rho), is only its cross-check. The
+    delay per backbone vertex is sum_k ptilde_k 2 M N(p,k), and since
+    ptilde_k N(p,k) = rho/(1-rho) ptilde_{k+1} it is 2 M rho/(1-rho)
+    sum_{k>=2} ptilde_k. As ptilde_1 = mhat = 1 - 1/M, checking it against
+    the identity 2 rho/(1-rho) checks that ptilde sums to 1.
+    """
+    rho = model.rho
     # near criticality rho -> 1 amplifies roundoff by 1/(1-rho)^2
-    if abs(closed - series) > ROUTE_TOL * max(1.0, (1.0 - model.rho) ** -2):
+    slack = max(1.0, (1.0 - rho) ** -2)
+    series = tail = 0.0
+    for k, pk in backbone_pmf_iter(model):
+        series += pk * (k - 1) / (k + 1)
+        if k >= 2:
+            tail += pk
+    # N(p,k) at the last term k reaches ptilde_{k+1}, one past the cut
+    tail += backbone_pmf(model, k + 1)
+    closed = _backbone_speed_closed(model)
+    if abs(closed - series) > ROUTE_TOL * slack:
         raise InternalInconsistency(
             f"backbone speed routes disagree: closed={closed!r} series={series!r}"
         )
-    return closed
+    if rho == 0.0:
+        return series, 0.0
+    identity = 2.0 * rho / (1.0 - rho)
+    delay = identity * bush_mean_size(model) * tail
+    if abs(delay - identity) > DELAY_TOL * slack:
+        raise InternalInconsistency(
+            f"delay sum {delay!r} != 2 rho/(1-rho) = {identity!r}"
+        )
+    return series, delay
+
+
+def backbone_speed(model: PercolatedModel) -> float:
+    """Speed S(p) of the walk on the backbone, with both checks of `_row`."""
+    return _row(model)[0]
 
 
 def mean_delay(model: PercolatedModel) -> float:
-    """Average excursion delay per backbone vertex, sum_k ptilde_k 2 M N(p,k).
-
-    Cross-asserted against the identity 2 rho / (1 - rho).
-    """
-    rho = model.rho
-    identity = 2.0 * rho / (1.0 - rho)
-    if rho == 0.0:
-        return 0.0
-    big_m = bush_mean_size(model)
-    acc = 0.0
-    for k, pk in backbone_pmf_iter(model):
-        if model.f(model.lam, k) == 0.0:
-            continue
-        acc += pk * 2.0 * big_m * mean_excursions(model, k)
-    if abs(acc - identity) > DELAY_TOL * max(1.0, (1.0 - rho) ** -2):
-        raise InternalInconsistency(
-            f"delay sum {acc!r} != 2 rho/(1-rho) = {identity!r}"
-        )
-    return acc
+    """Average excursion delay per backbone vertex, sum_k ptilde_k 2 M N(p,k),
+    with both checks of `_row`."""
+    return _row(model)[1]
 
 
 def cluster_speed(model: PercolatedModel) -> float:
     """Speed on the full cluster: (1-rho)/(1+rho) * S(p)."""
-    mean_delay(model)  # enforces the delay identity as a side check
-    return (1.0 - model.rho) / (1.0 + model.rho) * backbone_speed(model)
+    return (1.0 - model.rho) / (1.0 + model.rho) * _row(model)[0]
 
 
 def cluster_speed_at(law: OffspringLaw, p: float, tol: float = 1e-12) -> float:
@@ -165,16 +171,9 @@ def sweep(law: OffspringLaw, p_grid, tol: float = 1e-12) -> list[SpeedCurvePoint
     rows = []
     for p in ps:
         model = PercolatedModel(law, p, tol)
-        s = backbone_speed(model)
-        rows.append(
-            SpeedCurvePoint(
-                p=p,
-                rho=model.rho,
-                lam=model.lam,
-                backbone_speed=s,
-                cluster_speed=(1.0 - model.rho) / (1.0 + model.rho) * s,
-                mean_delay=mean_delay(model),
-                condition_ok=condition_ok,
-            )
-        )
+        s, delay = _row(model)
+        rows.append(SpeedCurvePoint(
+            p=p, rho=model.rho, lam=model.lam, backbone_speed=s,
+            cluster_speed=(1.0 - model.rho) / (1.0 + model.rho) * s,
+            mean_delay=delay, condition_ok=condition_ok))
     return rows

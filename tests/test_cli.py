@@ -186,15 +186,30 @@ class TestErrors:
         assert text == ""
         assert capsys.readouterr().err.startswith("internal inconsistency error:")
 
+    def test_overflow_is_numerical_error(self, monkeypatch, capsys):
+        def overflow(*_):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr("gwspeed.cli.sweep", overflow)
+        code, text = run_capture(["speed", "--law", "pmf:0,0,1", "--p", "0.75"])
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err.startswith("numerical error:")
+
     @pytest.mark.parametrize("law", ["binomial:400,0.5", "poisson:200",
                                      "pmf:" + ",".join(["1"] * 200)],
                              ids=["binomial:400,0.5", "poisson:200", "pmf-200-weights"])
-    def test_pgf_overflow_is_numerical_error(self, law):
+    def test_large_support_law_gets_a_row(self, law):
+        # their derivatives f^(k) overflow a float; the Taylor coefficients do not
         proc = run_process(["speed", "--law", law, "--p", "0.5"])
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("numerical error:")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        header, line = proc.stdout.splitlines()
+        assert header == SWEEP_HEADER
+        (pt,) = gwspeed.sweep(gwspeed.parse_law(law), [0.5])
+        assert line == ",".join(format(v, ".12g") for v in (
+            pt.p, pt.rho, pt.lam, pt.backbone_speed, pt.cluster_speed, pt.mean_delay)) + ",true"
+        assert 0.0 < pt.cluster_speed <= pt.backbone_speed < 1.0
 
 
 class TestParserReuse:

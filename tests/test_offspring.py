@@ -183,3 +183,43 @@ def test_degenerate_flag():
 def test_law_is_immutable():
     with pytest.raises(AttributeError):
         LAWS["poisson"].mu = 3.0
+
+
+class TestTaylor:
+    @pytest.mark.parametrize("name", sorted(LAWS))
+    @pytest.mark.parametrize("s", [0.0, 0.3, 0.75, 1.0])
+    def test_matches_derivative_over_factorial(self, name, s):
+        law = LAWS[name]
+        for k in range(8):
+            expected = law.pgf_derivative(s, k) / math.factorial(k)
+            assert law.taylor(s, k) == pytest.approx(expected, rel=1e-13, abs=1e-300)
+
+    @pytest.mark.parametrize("name", sorted(LAWS))
+    def test_pmf_is_taylor_at_zero(self, name):
+        law = LAWS[name]
+        for k in range(8):
+            assert law.pmf(k) == pytest.approx(law.taylor(0.0, k), rel=1e-15, abs=1e-300)
+        assert law.pmf(-1) == 0.0
+
+    def test_zero_past_finite_support(self):
+        assert FinitePmf([0, 0.5, 0.5]).taylor(0.4, 3) == 0.0
+        assert Binomial(3, 0.8).taylor(0.4, 4) == 0.0
+
+    def test_binomial_full_retention_at_zero(self):
+        # q = 1: 1 - q + q s vanishes at s = 0 and all mass sits on n
+        law = Binomial(3, 1.0)
+        assert [law.taylor(0.0, k) for k in range(5)] == [0.0, 0.0, 0.0, 1.0, 0.0]
+
+    @pytest.mark.parametrize("law,k", [(Poisson(200.0), 400), (Binomial(400, 0.5), 200),
+                                       (Geometric(0.9), 500),
+                                       (FinitePmf([1.0] * 200), 100)])
+    def test_high_orders_stay_finite(self, law, k):
+        # f^(k)(s) itself overflows a float here; f^(k)(s)/k! does not
+        value = law.taylor(0.5, k)
+        assert 0.0 < value < math.inf
+
+    def test_binomial_coefficient_exact_for_large_n(self):
+        # log C(n, k) from the exact integer; at s = 1 the coefficient is C(n,k) q^k
+        law = Binomial(400, 0.5)
+        expected = math.comb(400, 200) / 2**200
+        assert law.taylor(1.0, 200) == pytest.approx(expected, rel=1e-13)

@@ -340,3 +340,28 @@ class TestSamplingConsistency:
             pl = thinned_pmf(m, l)
             se = math.sqrt(pl * (1 - pl) / n)
             assert abs(counts[l] / n - pl) <= 5 * se
+
+
+def poisson_pmf(mu):
+    return lambda l: mpmath.exp(-mu) * mpmath.mpf(mu) ** l / mpmath.factorial(l)
+
+
+def binomial_pmf(n, q):
+    return lambda l: mpmath.binomial(n, l) * q**l * (1 - q) ** (n - l)
+
+
+class TestExactThinning:
+    """Thinning by p maps Poisson(mu) to Poisson(mu p) and Binomial(n, q)
+    to Binomial(n, q p): exact checks of pbar for large-support laws, whose
+    derivatives f^(l) overflow a float."""
+
+    @pytest.mark.parametrize("spec,exact", [
+        ("poisson:200", poisson_pmf(100)),
+        ("binomial:400,0.5", binomial_pmf(400, mpmath.mpf(0.25))),
+    ], ids=["poisson:200", "binomial:400,0.5"])
+    def test_thinned_pmf_is_the_thinned_law(self, spec, exact):
+        m = PercolatedModel(parse_law(spec), 0.5)
+        terms = list(thinned_pmf_iter(m))
+        with mpmath.workdps(30):
+            assert max(abs(v - float(exact(l))) for l, v in terms) <= 1e-12
+        assert sum(v for _, v in terms) == pytest.approx(1.0, abs=1e-10)

@@ -1,3 +1,6 @@
+import io
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,8 +21,9 @@ from gwspeed import (
     pipes_speed,
     sweep,
 )
-from gwspeed.percolation import backbone_pmf_iter
-from gwspeed.speed import CONDITION_SLACK, _backbone_speed_closed, _backbone_speed_series
+from gwspeed.cli import run
+from gwspeed.percolation import backbone_pmf_iter, bush_mean_size, mean_excursions
+from gwspeed.speed import CONDITION_SLACK, _backbone_speed_closed, _row
 
 BINARY = FinitePmf([0, 0, 1])
 
@@ -99,7 +103,7 @@ class TestBackboneSpeed:
     @pytest.mark.parametrize("p", P_GRID)
     def test_two_routes_agree(self, name, p):
         m = PercolatedModel(LAWS[name], p)
-        assert abs(_backbone_speed_closed(m) - _backbone_speed_series(m)) <= 1e-10
+        assert abs(_backbone_speed_closed(m) - _row(m)[0]) <= 1e-10
 
 
 class TestClusterSpeed:
@@ -263,3 +267,86 @@ class TestSweep:
     def test_rejects_subcritical_point(self):
         with pytest.raises(ModelError):
             sweep(BINARY, [0.4, 0.8])
+
+
+# Taylor coefficients f^(k)(s)/k! in mpmath arithmetic, from the same float
+# parameters
+MP_TAYLOR = {
+    "pmf:0,0,1": (lambda s, k: [s**2, 2 * s, mpmath.mpf(1)][k] if k <= 2 else 0, 2),
+    "poisson:2": (lambda s, k: mpmath.exp(2 * (s - 1)) * 2**k / mpmath.factorial(k), None),
+    "geometric:0.6667": (lambda s, k, a=mpmath.mpf(0.6667):
+                         a**k * (1 - a) / (1 - a * s) ** (k + 1), None),
+    "binomial:3,0.8": (lambda s, k, q=mpmath.mpf(0.8):
+                       mpmath.binomial(3, k) * q**k * (1 - q + q * s) ** (3 - k), 3),
+}
+
+
+def series_oracle(spec, model):
+    """S(p) = sum_k ptilde_k (k-1)/(k+1) at 40 digits, at the model's float rho."""
+    taylor, cap = MP_TAYLOR[spec]
+    with mpmath.workdps(40):
+        p, rho = mpmath.mpf(model.p), mpmath.mpf(model.rho)
+        lam = 1 - p + p * rho
+        total, k = mpmath.mpf(0), 1
+        while cap is None or k <= cap:
+            term = taylor(lam, k) * p**k * (1 - rho) ** (k - 1)
+            total += term * (k - 1) / (k + 1)
+            if cap is None and k > 5 and term < mpmath.mpf(10) ** -45:
+                break
+            k += 1
+        return total
+
+
+class TestSeriesRoute:
+    """The backbone speed is the series over ptilde. The closed form, kept
+    as the cross-check, cancels two terms of size 1/(1-rho) and is off by
+    up to 1e-4 relative near 1/m, where it can even turn negative."""
+
+    @pytest.mark.parametrize("gap", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5])
+    @pytest.mark.parametrize("spec", sorted(MP_TAYLOR))
+    def test_matches_high_precision_series(self, spec, gap):
+        law = parse_law(spec)
+        m = PercolatedModel(law, 1 / law.mean() + gap)
+        s = backbone_speed(m)
+        assert s > 0.0
+        exact = series_oracle(spec, m)
+        assert abs(s - exact) <= 1e-9 * exact
+
+
+PMF20_SPEC = PMF20.spec_string()
+ROW_LAWS = ["pmf:0,0,1", "poisson:2", "geometric:0.6667", "binomial:3,0.8",
+            "binomial:40,0.1", PMF20_SPEC, "geometric:0.8"]
+ROW_FRACTIONS = [1e-3, 1e-2, 0.05, 0.1, 0.3, 0.5, 0.8, 1.0]
+
+
+def delay_oracle(model):
+    """The delay as the direct sum over ptilde_k 2 M N(p,k)."""
+    if model.rho == 0.0:
+        return 0.0
+    big_m = bush_mean_size(model)
+    return sum(pk * 2.0 * big_m * mean_excursions(model, k)
+               for k, pk in backbone_pmf_iter(model) if pk > 0.0)
+
+
+class TestSingleCodePath:
+    """sweep, the three public row functions and the CLI row all read one
+    pass over the backbone law, so they agree exactly."""
+
+    @pytest.mark.parametrize("spec", ROW_LAWS, ids=lambda s: s if len(s) < 20 else "pmf20")
+    def test_every_route_to_a_row_agrees(self, spec):
+        law = parse_law(spec)
+        lo = 1 / law.mean()
+        grid = [lo + (1 - lo) * f for f in ROW_FRACTIONS[:-1]] + [1.0]
+        for row in sweep(law, grid):
+            m = PercolatedModel(law, row.p)
+            assert (row.rho, row.lam) == (m.rho, m.lam)
+            assert row.backbone_speed == backbone_speed(m)
+            assert row.cluster_speed == cluster_speed(m)
+            assert row.mean_delay == mean_delay(m)
+            assert row.mean_delay == pytest.approx(delay_oracle(m), rel=1e-13)
+            out = io.StringIO()
+            assert run(["speed", "--law", spec, "--p", repr(row.p)], out=out) == 0
+            cli = out.getvalue().splitlines()[1].split(",")
+            expected = [row.p, m.rho, m.lam, backbone_speed(m), cluster_speed(m),
+                        mean_delay(m)]
+            assert cli[:6] == [format(v, ".12g") for v in expected]
