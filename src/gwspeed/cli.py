@@ -1,13 +1,15 @@
 """Command-line interface with deterministic, machine-readable output.
 
 Commands: rho, speed, sweep, simulate, check-condition, pipes. Output is
-line-oriented CSV (fixed header) or one JSON object per line; all floats
-are printed with 12 significant digits so reruns are byte-identical.
+line-oriented CSV (fixed header, a field quoted only if it holds a comma)
+or one JSON object per line; all floats are printed with 12 significant
+digits so reruns are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import sys
@@ -17,10 +19,9 @@ from .percolation import ConvergenceError, ModelError, PercolatedModel, rho_deri
 from .simulate import SimulationError, estimate_speed, simulate_pipes
 from .speed import InternalInconsistency, check_condition, cluster_speed, pipes_speed, sweep
 
-DEFAULTS = dict(tol=1e-12, horizon=10**5, replicas=200, seed=42, format="csv")
-# input bounds: each is one list or array of that many floats
+DEFAULTS = dict(horizon=10**5, replicas=200, seed=42, format="csv")
+# input bound: a --p-grid is one list of at most that many floats
 MAX_GRID_POINTS = 10**5
-MAX_GRID_SIZE = 10**6
 
 
 class CliError(ValueError):
@@ -42,10 +43,11 @@ def _emit(rows: list[dict], fmt: str, out) -> None:
                        for k, v in row.items()}
             print(json.dumps(rounded), file=out)
     else:
+        writer = csv.writer(out, lineterminator="\n")
         if rows:
-            print(",".join(rows[0].keys()), file=out)
+            writer.writerow(rows[0].keys())
         for row in rows:
-            print(",".join(_fmt(v) for v in row.values()), file=out)
+            writer.writerow(_fmt(v) for v in row.values())
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -83,7 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if p_required:
             sp.add_argument("--p", type=float, required=True,
                             help="retaining probability")
-        sp.add_argument("--tol", type=float, default=DEFAULTS["tol"])
         sp.add_argument("--format", choices=["csv", "json"], default=DEFAULTS["format"])
 
     sp = sub.add_parser("rho", help="extinction probability and derivative")
@@ -104,7 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check-condition", help="monotonicity condition on the law")
     common(sp, p_required=False)
-    sp.add_argument("--grid-size", type=int, default=10**4)
 
     sp = sub.add_parser("pipes", help="binary tree with pipes: closed form speed")
     common(sp, law_required=False)
@@ -118,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_rho(args) -> list[dict]:
     law = parse_law(args.law)
-    model = PercolatedModel(law, args.p, args.tol)
+    model = PercolatedModel(law, args.p)
     return [dict(p=args.p, rho=model.rho, **{"lambda": model.lam},
                  drho_dp=rho_derivative(model))]
 
@@ -137,17 +137,17 @@ def _row_from_point(pt) -> dict:
 
 def _cmd_speed(args) -> list[dict]:
     law = parse_law(args.law)
-    return [_row_from_point(pt) for pt in sweep(law, [args.p], args.tol)]
+    return [_row_from_point(pt) for pt in sweep(law, [args.p])]
 
 
 def _cmd_sweep(args) -> list[dict]:
     law = parse_law(args.law)
-    return [_row_from_point(pt) for pt in sweep(law, _parse_grid(args.p_grid), args.tol)]
+    return [_row_from_point(pt) for pt in sweep(law, _parse_grid(args.p_grid))]
 
 
 def _cmd_simulate(args) -> list[dict]:
     law = parse_law(args.law)
-    model = PercolatedModel(law, args.p, args.tol)
+    model = PercolatedModel(law, args.p)
     analytic = cluster_speed(model)
     est = estimate_speed(model, args.horizon, args.replicas, args.seed)
     z = (est.speed_hat - analytic) / est.std_error if est.std_error > 0 else 0.0
@@ -157,10 +157,7 @@ def _cmd_simulate(args) -> list[dict]:
 
 
 def _cmd_check_condition(args) -> list[dict]:
-    if args.grid_size > MAX_GRID_SIZE:
-        raise CliError(f"--grid-size {args.grid_size} exceeds {MAX_GRID_SIZE}")
-    law = parse_law(args.law)
-    ok, worst = check_condition(law, args.grid_size)
+    ok, worst = check_condition(parse_law(args.law))
     return [dict(law=args.law, condition_ok=ok, worst_violation=worst)]
 
 

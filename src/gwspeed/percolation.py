@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 
 from .offspring import OffspringLaw, truncated_support
 
-DEFAULT_TOL = 1e-12
+# rho tolerance: Newton stops at a step of at most TOL/100 and the root
+# must satisfy |rho - f(lambda)| <= 10 TOL
+TOL = 1e-12
 MAX_NEWTON_ITER = 200
 # absolute roundoff in evaluating g(x) = f(1-p+px) - x, a few ulps of 1
 G_ROUNDOFF = 1e-15
@@ -29,19 +31,17 @@ class ModelError(ValueError):
     """Model parameters outside the supercritical regime the theory covers."""
 
 
-def solve_rho(law: OffspringLaw, p: float, tol: float = DEFAULT_TOL) -> tuple[float, float]:
+def solve_rho(law: OffspringLaw, p: float) -> tuple[float, float]:
     """Smallest fixed point rho of rho = f(1 - p + p*rho), plus lambda.
 
     Newton's method on g(x) = f(1-p+px) - x, started from x = 0. g is
     convex with g'(x) = p f'(lambda) - 1 < 0 below its smallest root, so
     the iterates climb monotonically to rho: quadratically at a simple
     root and still linearly as p -> 1/m, where the root nears a double
-    root at 1. The loop stops at a step of at most tol/100, or at the
+    root at 1. The loop stops at a step of at most TOL/100, or at the
     first step that is not positive, which is the roundoff floor. Returns
     (rho, lambda) with lambda = 1 - p + p*rho.
     """
-    if tol <= 0:
-        raise ModelError(f"tol must be positive, got {tol}")
     m = law.mean()
     if m <= 1.0:
         raise ModelError(f"law mean {m} <= 1: no supercritical phase")
@@ -59,7 +59,7 @@ def solve_rho(law: OffspringLaw, p: float, tol: float = DEFAULT_TOL) -> tuple[fl
             break  # at the root to roundoff: the next step would not be positive
         step = -g / gp
         rho = min(rho + step, 1.0)
-        if step <= tol * 0.01:
+        if step <= TOL * 0.01:
             break
     else:
         raise ConvergenceError(
@@ -68,8 +68,8 @@ def solve_rho(law: OffspringLaw, p: float, tol: float = DEFAULT_TOL) -> tuple[fl
         )
 
     lam = 1.0 - p + p * rho
-    if abs(rho - law.pgf_derivative(lam, 0)) > 10 * tol:
-        raise ConvergenceError(f"rho residual exceeds {10 * tol} after refinement (p={p})")
+    if abs(rho - law.pgf_derivative(lam, 0)) > 10 * TOL:
+        raise ConvergenceError(f"rho residual exceeds {10 * TOL} after refinement (p={p})")
     # Roundoff in g moves the root by about G_ROUNDOFF / |g'(rho)|. As p -> 1/m
     # that shift outgrows the root's distance to the trivial root 1, and a
     # "root" found there is noise: refuse one that roundoff moves by more
@@ -93,19 +93,14 @@ class PercolatedModel:
     rho: float = field(init=False)
     lam: float = field(init=False)
     m_hat: float = field(init=False)
-    tol: float = DEFAULT_TOL
 
-    def __init__(self, law: OffspringLaw, p: float, tol: float = DEFAULT_TOL):
-        rho, lam = solve_rho(law, p, tol)
+    def __init__(self, law: OffspringLaw, p: float):
+        rho, lam = solve_rho(law, p)
         object.__setattr__(self, "law", law)
         object.__setattr__(self, "p", float(p))
-        object.__setattr__(self, "tol", float(tol))
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "m_hat", p * law.pgf_derivative(lam, 1))
-
-    def f(self, s: float, order: int = 0) -> float:
-        return self.law.pgf_derivative(s, order)
 
 
 def thinned_pmf(model: PercolatedModel, l: int) -> float:
@@ -120,7 +115,7 @@ def thinned_pmf(model: PercolatedModel, l: int) -> float:
 
 def rho_derivative(model: PercolatedModel) -> float:
     """d(rho)/dp = -(1-rho) f'(lambda) / (1 - p f'(lambda)); always <= 0."""
-    fp = model.f(model.lam, 1)
+    fp = model.law.pgf_derivative(model.lam, 1)
     denom = 1.0 - model.p * fp
     if abs(denom) <= 1e-12:
         raise ModelError("p f'(lambda) = 1: model at criticality, derivative diverges")

@@ -26,6 +26,9 @@ from .percolation import (
 ROUTE_TOL = 1e-10
 DELAY_TOL = 1e-10
 CONDITION_SLACK = 1e-9
+# evenly spaced points of the h(s) grid on (1/m, 1); `check-condition` and
+# every row read the same grid
+CONDITION_GRID = 10**4
 
 
 class InternalInconsistency(AssertionError):
@@ -117,27 +120,25 @@ def cluster_speed(model: PercolatedModel) -> float:
     return (1.0 - model.rho) / (1.0 + model.rho) * _row(model)[0]
 
 
-def cluster_speed_at(law: OffspringLaw, p: float, tol: float = 1e-12) -> float:
+def cluster_speed_at(law: OffspringLaw, p: float) -> float:
     """cluster_speed over p in [1/m, 1], with the p = 1/m endpoint pinned
     to 0 by continuity."""
     if p == 1.0 / law.mean():
         return 0.0
-    return cluster_speed(PercolatedModel(law, p, tol))
+    return cluster_speed(PercolatedModel(law, p))
 
 
-def check_condition(law: OffspringLaw, grid_size: int = 10**4) -> tuple[bool, float]:
+def check_condition(law: OffspringLaw) -> tuple[bool, float]:
     """Check h(s) = (1-s) f'(s) / (1-f(s)) is nondecreasing on (1/m, 1).
 
     Returns (ok, most negative successive difference). Near s = 1 both
     numerator and denominator vanish; h there is read off at s = 1-1e-6.
     """
-    if grid_size < 3:
-        raise ValueError(f"grid_size must be >= 3, got {grid_size}")
     if law.is_degenerate:
         raise ModelError("degenerate law f(s) = s excluded from the condition check")
     lo = 1.0 / law.mean()
-    step = (1.0 - lo) / (grid_size + 1)
-    s = np.minimum(lo + np.arange(1, grid_size + 1) * step, 1.0 - 1e-6)
+    step = (1.0 - lo) / (CONDITION_GRID + 1)
+    s = np.minimum(lo + np.arange(1, CONDITION_GRID + 1) * step, 1.0 - 1e-6)
     f, df = law.pgf_array(s)
     worst = float(np.min(np.diff((1.0 - s) * df / (1.0 - f))))
     return worst >= -CONDITION_SLACK, worst
@@ -162,7 +163,7 @@ def pipes_speed(p: float) -> float:
     )
 
 
-def sweep(law: OffspringLaw, p_grid, tol: float = 1e-12) -> list[SpeedCurvePoint]:
+def sweep(law: OffspringLaw, p_grid) -> list[SpeedCurvePoint]:
     """Evaluate the full analytic pipeline on a strictly increasing p grid."""
     ps = list(p_grid)
     if any(b <= a for a, b in zip(ps, ps[1:])):
@@ -170,7 +171,7 @@ def sweep(law: OffspringLaw, p_grid, tol: float = 1e-12) -> list[SpeedCurvePoint
     condition_ok, _ = check_condition(law)
     rows = []
     for p in ps:
-        model = PercolatedModel(law, p, tol)
+        model = PercolatedModel(law, p)
         s, delay = _row(model)
         rows.append(SpeedCurvePoint(
             p=p, rho=model.rho, lam=model.lam, backbone_speed=s,

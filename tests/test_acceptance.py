@@ -77,8 +77,7 @@ def test_criterion_2_derivative_check(name, law):
     try:
         for p in P_GRID:
             model = PercolatedModel(law, p)
-            fd = (solve_rho(law, p + h, 1e-14)[0]
-                  - solve_rho(law, p - h, 1e-14)[0]) / (2 * h)
+            fd = (solve_rho(law, p + h)[0] - solve_rho(law, p - h)[0]) / (2 * h)
             worst = max(worst, abs(rho_derivative(model) - fd))
     except ModelError as exc:
         report(2, False, f"{name}: {exc}. {GEOMETRIC_05_NOTE}")

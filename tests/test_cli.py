@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -93,19 +94,22 @@ class TestCheckConditionCommand:
         assert header == "law,condition_ok,worst_violation"
         assert row.split(",")[1] == "true"
 
-    def test_grid_size_bounded(self):
-        # in a child process: without the bound the grid grows until killed
-        proc = run_process(
-            ["check-condition", "--law", "poisson:2", "--grid-size", str(10**12)], timeout=20)
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error:")
-        assert proc.stdout == ""
-
-    def test_grid_size_at_bound(self):
-        code, text = run_capture(
-            ["check-condition", "--law", "poisson:2", "--grid-size", str(10**6)])
+    @pytest.mark.parametrize("law", ["binomial:3,0.8", "pmf:0.4,0.1,0,0,0,0,0,0,0,0,0.5"])
+    def test_law_with_commas_is_one_csv_field(self, law):
+        code, text = run_capture(["check-condition", "--law", law])
         assert code == 0
-        assert text.splitlines()[1].split(",")[1] == "true"
+        header, row = csv.reader(io.StringIO(text))
+        assert header == ["law", "condition_ok", "worst_violation"]
+        assert len(row) == 3
+        assert gwspeed.parse_law(row[0]) == gwspeed.parse_law(law)
+
+    @pytest.mark.parametrize("law", ["poisson:2", "binomial:3,0.8",
+                                     "pmf:0.4,0.1,0,0,0,0,0,0,0,0,0.5"])
+    def test_agrees_with_speed_row(self, law):
+        # one condition grid serves the command and every row
+        _, text = run_capture(["check-condition", "--law", law, "--format", "json"])
+        _, row = run_capture(["speed", "--law", law, "--p", "0.9", "--format", "json"])
+        assert json.loads(text)["condition_ok"] == json.loads(row)["condition_ok"]
 
 
 class TestSimulateCommand:
@@ -167,6 +171,24 @@ class TestErrors:
     def test_unknown_flag(self):
         code, _ = run_capture(["speed", "--law", "pmf:0,0,1", "--p", "0.75", "--bogus"])
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["rho", "--law", "poisson:2", "--p", "0.8", "--tol", "1e-12"],
+        ["speed", "--law", "poisson:2", "--p", "0.8", "--tol", "1e-12"],
+        ["sweep", "--law", "poisson:2", "--p-grid", "0.6:0.8:0.1", "--tol", "1e-12"],
+        ["simulate", "--law", "poisson:2", "--p", "0.8", "--tol", "1e-12"],
+        ["check-condition", "--law", "poisson:2", "--tol", "1e-12"],
+        ["pipes", "--p", "0.75", "--tol", "1e-12"],
+        ["check-condition", "--law", "poisson:2", "--grid-size", "10000"],
+    ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+    def test_removed_numerical_flags_are_usage_errors(self, argv, capsys):
+        code, text = run_capture(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert text == ""
+        assert err.startswith("usage: gwspeed")
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+        assert "Traceback" not in err
 
     def test_near_critical_is_row_or_numerical_error(self):
         # rho converges here; the delay identity gate may then trip

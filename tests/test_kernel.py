@@ -14,10 +14,12 @@ import sys
 import threading
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gwspeed
 import test_simulate as golden
 from gwspeed import FinitePmf, PercolatedModel, estimate_speed, parse_law, run_walk
 from gwspeed import _ckernel
@@ -161,7 +163,8 @@ class TestErrors:
 
 class TestBuild:
     def test_import_builds_and_loads_nothing(self, tmp_path):
-        env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"))
+        env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"),
+                   PYTHONPATH=str(Path(gwspeed.__file__).parents[1]))
         code = "import sys, gwspeed.cli; print('gwspeed._ckernel' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=60)

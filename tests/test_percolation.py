@@ -80,7 +80,7 @@ class TestSolveRho:
             assert lam == pytest.approx(0.0, abs=1e-12)
 
     def test_poisson_long_iteration_oracle(self):
-        rho, _ = solve_rho(Poisson(2.0), 0.9, tol=1e-14)
+        rho, _ = solve_rho(Poisson(2.0), 0.9)
         assert rho == pytest.approx(POISSON_RHO_09, abs=1e-10)
 
     @pytest.mark.parametrize("gap", [1e-1, 1e-2, 1e-4, 1e-6, 1e-7])
@@ -118,10 +118,6 @@ class TestSolveRho:
         with pytest.raises(ModelError):
             solve_rho(FinitePmf([0, 1]), 0.9)
 
-    def test_rejects_bad_tol(self):
-        with pytest.raises(ModelError):
-            solve_rho(BINARY, 0.75, tol=0.0)
-
     @pytest.mark.parametrize("name", sorted(LAWS))
     def test_strictly_decreasing_in_p(self, name):
         rhos = [solve_rho(LAWS[name], p)[0] for p in P_GRID]
@@ -137,9 +133,9 @@ class TestModel:
         assert 0.0 < m.lam <= 1.0
         assert m.m_hat < 1.0
         assert m.lam == 1.0 - p + p * m.rho
-        assert abs(m.rho - m.f(m.lam)) <= m.tol * 10
+        assert abs(m.rho - m.law.pgf_derivative(m.lam)) <= 1e-11
         # Eq. (p) rearranged
-        assert p * (1.0 - m.f(m.lam)) == pytest.approx(1.0 - m.lam, abs=1e-10)
+        assert p * (1.0 - m.law.pgf_derivative(m.lam)) == pytest.approx(1.0 - m.lam, abs=1e-10)
 
     def test_immutable(self):
         m = PercolatedModel(BINARY, 0.75)
@@ -215,8 +211,7 @@ class TestRhoDerivative:
         law = LAWS[name]
         m = PercolatedModel(law, p)
         h = 1e-6
-        fd = (solve_rho(law, p + h, 1e-14)[0]
-              - solve_rho(law, p - h, 1e-14)[0]) / (2 * h)
+        fd = (solve_rho(law, p + h)[0] - solve_rho(law, p - h)[0]) / (2 * h)
         d = rho_derivative(m)
         assert d <= 0.0
         assert d == pytest.approx(fd, abs=1e-5)
@@ -280,9 +275,10 @@ class TestBushMeanSize:
     @pytest.mark.parametrize("p", P_GRID)
     def test_two_m_hat_expressions_agree(self, name, p):
         m = PercolatedModel(LAWS[name], p)
-        direct = m.p * m.f(m.lam, 1)
-        if m.f(m.lam) < 1.0:  # alternate form undefined at rho = lam -> f = 1
-            alt = (1 - m.lam) * m.f(m.lam, 1) / (1 - m.f(m.lam))
+        f = m.law.pgf_derivative
+        direct = m.p * f(m.lam, 1)
+        if f(m.lam) < 1.0:  # alternate form undefined at rho = lam -> f = 1
+            alt = (1 - m.lam) * f(m.lam, 1) / (1 - f(m.lam))
             assert abs(direct - alt) <= 1e-10
 
 
