@@ -5,12 +5,17 @@ binomial. Each law knows its probability generating function (PGF)
 f(s) = sum_k p_k s^k together with closed-form derivatives of every
 order, its Taylor coefficients f^(k)(s)/k! (in log space for the three
 parametric families), its mean, its pointwise pmf, and an exact sampler
-driven by a caller-supplied numpy Generator.
+driven by a caller-supplied numpy Generator. Whole series of coefficients
+come from `taylor_terms`, one running product per term: each parametric
+family multiplies by its ratio c_{k+1}/c_k, and a finite pmf takes a
+Taylor shift.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +25,8 @@ PROB_ATOL = 1e-12
 # truncation policy for infinite-support sums
 TAIL_MASS = 1e-13
 SUPPORT_CAP = 10**5
+# smallest normal float: a running product seeded below it has lost digits
+_TINY = sys.float_info.min
 
 
 class LawError(ValueError):
@@ -41,12 +48,25 @@ class OffspringLaw:
     def _derivative(self, s: float, order: int) -> float:
         raise NotImplementedError
 
+    def _pgf_pair(self, s: float) -> tuple[float, float]:
+        """(f(s), f'(s)) unchecked, with the arithmetic of `_derivative`."""
+        return self._derivative(s, 0), self._derivative(s, 1)
+
     def pgf_array(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(f(s), f'(s)) elementwise on an array of points in [0, 1]."""
         raise NotImplementedError
 
     def taylor(self, s: float, k: int) -> float:
         """f^(k)(s)/k!, the k-th Taylor coefficient of f at s in [0, 1]."""
+        raise NotImplementedError
+
+    def taylor_terms(self, s: float, x: float, scale: float = 1.0):
+        """Yield scale * c_k(s) x^k for k = 0, 1, ..., with c_k = f^(k)/k!:
+        the coefficients of scale * f(s + x t) in t, up to max_support.
+
+        For s >= 0, x > 0 and s + x <= 1 they sum to scale * f(s + x) and
+        none exceeds scale, so no term overflows where c_k(s) would.
+        """
         raise NotImplementedError
 
     def pmf(self, k: int) -> float:
@@ -77,17 +97,21 @@ class OffspringLaw:
 
     def support_iter(self):
         """Yield (k, p_k) covering all but TAIL_MASS of the law."""
-        return truncated_support(self.pmf, 0, self.max_support)
+        return iter(self._support)
+
+    @functools.cached_property
+    def _support(self):
+        # built once per law: every row's closed form reads the same p_n
+        return tuple(truncated_support(self.taylor_terms(0.0, 1.0), 0, self.max_support))
 
 
-def truncated_support(term, start: int, cap: int | None):
-    """Yield (k, term(k)) for k = start, start+1, ... up to the law's
-    `cap` = max_support, or, with infinite support, until all but
-    TAIL_MASS of the mass is covered; never past SUPPORT_CAP."""
+def truncated_support(terms, start: int, cap: int | None):
+    """Yield (k, p_k) for k = start, start+1, ... from the iterable `terms`
+    of p_start, p_start+1, ..., up to the law's `cap` = max_support, or,
+    with infinite support, until all but TAIL_MASS of the mass is covered;
+    never past SUPPORT_CAP. It takes no term past the last one it yields."""
     cum = 0.0
-    k = start
-    while True:
-        pk = term(k)
+    for k, pk in enumerate(terms, start):
         yield k, pk
         cum += pk
         if cap is not None:
@@ -97,6 +121,18 @@ def truncated_support(term, start: int, cap: int | None):
             return  # roundoff may keep cum short of 1; such terms are negligible
         if k >= SUPPORT_CAP:
             return
+
+
+def _underflow_start(log_term):
+    """Yield exp(log_term(k)) for k = 0, 1, ... while it is below the
+    smallest normal float; return (k, value) at the first normal term, from
+    which a running product can take over."""
+    k = 0
+    while True:
+        t = math.exp(log_term(k))
+        if t >= _TINY:
+            return k, t
+        yield t
         k += 1
 
 
@@ -110,11 +146,17 @@ class FinitePmf(OffspringLaw):
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise LawError("pmf weights must be a non-empty 1-d sequence")
+        if not np.all(np.isfinite(w)):
+            raise LawError("pmf weights must be finite")
         if np.any(w < 0):
             raise LawError("pmf weights must be nonnegative")
-        total = float(w.sum())
+        with np.errstate(over="ignore"):
+            total = float(w.sum())
         if total <= 0:
             raise LawError("pmf weights sum to zero")
+        if total == math.inf:  # rescaled only then, so other weights keep their bits
+            w = w / w.max()
+            total = float(w.sum())
         object.__setattr__(self, "weights", tuple(float(x) for x in w / total))
 
     def _derivative(self, s: float, order: int) -> float:
@@ -123,6 +165,16 @@ class FinitePmf(OffspringLaw):
         for k in range(order, len(self.weights)):
             total += self.weights[k] * math.perm(k, order) * s ** (k - order)
         return total
+
+    def _pgf_pair(self, s: float) -> tuple[float, float]:
+        f = df = below = 0.0  # below = s^(k-1)
+        for k, w in enumerate(self.weights):
+            power = s**k
+            f += w * power
+            if k:
+                df += w * k * below
+            below = power
+        return f, df
 
     def pgf_array(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # Horner for f and, one step behind it, for f'
@@ -134,9 +186,39 @@ class FinitePmf(OffspringLaw):
         return f, df
 
     def taylor(self, s: float, k: int) -> float:
-        # sum_{j>=k} p_j C(j,k) s^{j-k}; exactly 0 past support
-        return math.fsum(self.weights[j] * math.comb(j, k) * s ** (j - k)
-                         for j in range(k, len(self.weights)))
+        # sum_{j>=k} p_j C(j,k) s^{j-k} by Horner in exact integers, rounded
+        # once: C(j,k) outgrows a float past about 1030 weights, where the
+        # sum may not; exactly 0 past support
+        ratios = [w.as_integer_ratio() for w in self.weights[k:]]
+        if not ratios:
+            return 0.0
+        num, den = float(s).as_integer_ratio()
+        b = den.bit_length() - 1  # s = num / 2^b, and p_j = n_j / d_j with d_j | 2^e
+        e = max(d for _, d in ratios).bit_length() - 1
+        top = len(ratios) - 1
+        acc = 0
+        for i in range(top, -1, -1):
+            n_j, d_j = ratios[i]
+            acc = acc * num + (n_j * math.comb(k + i, k) << (e - d_j.bit_length() + 1
+                                                             + b * (top - i)))
+        return acc / (1 << (e + b * top))
+
+    def taylor_terms(self, s: float, x: float, scale: float = 1.0):
+        # Horner in t: multiply the running polynomial by (s + x t) and add
+        # the next weight, so every coefficient is a sum of positive terms
+        # that never exceeds scale
+        w = self.weights
+        n = self.max_support + 1
+        c = [0.0] * n
+        for j in range(n - 1, -1, -1):
+            for i in range(n - 1 - j, 0, -1):
+                c[i] = s * c[i] + x * c[i - 1]
+            c[0] = s * c[0] + scale * w[j]
+        yield from c
+
+    @functools.cached_property
+    def _support(self):
+        return tuple(truncated_support(self.weights, 0, self.max_support))
 
     def pmf(self, k: int) -> float:
         return self.weights[k] if 0 <= k < len(self.weights) else 0.0
@@ -175,6 +257,11 @@ class Geometric(OffspringLaw):
         a = self.a
         return math.factorial(order) * a**order * (1 - a) / (1 - a * s) ** (order + 1)
 
+    def _pgf_pair(self, s: float) -> tuple[float, float]:
+        a = self.a
+        d = 1 - a * s
+        return (1 - a) / d, a * (1 - a) / d**2
+
     def pgf_array(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a = self.a
         d = 1 - a * s
@@ -183,6 +270,15 @@ class Geometric(OffspringLaw):
     def taylor(self, s: float, k: int) -> float:
         a = self.a
         return math.exp(k * math.log(a) + math.log1p(-a) - (k + 1) * math.log1p(-a * s))
+
+    def taylor_terms(self, s: float, x: float, scale: float = 1.0):
+        # c_{k+1}/c_k = a/(1-as); c_0 >= 1-a needs no underflow guard
+        d = 1 - self.a * s
+        r = self.a * x / d
+        t = scale * (1 - self.a) / d
+        while True:
+            yield t
+            t *= r
 
     def sample(self, rng: np.random.Generator) -> int:
         # numpy geometric counts trials to first success (prob 1-a)
@@ -199,11 +295,15 @@ class Poisson(OffspringLaw):
     mu: float
 
     def __post_init__(self):
-        if not self.mu > 0.0:
-            raise LawError(f"poisson parameter mu={self.mu} must be positive")
+        if not 0.0 < self.mu < math.inf:
+            raise LawError(f"poisson parameter mu={self.mu} must be positive and finite")
 
     def _derivative(self, s: float, order: int) -> float:
         return self.mu**order * math.exp(self.mu * (s - 1.0))
+
+    def _pgf_pair(self, s: float) -> tuple[float, float]:
+        f = math.exp(self.mu * (s - 1.0))
+        return f, self.mu * f
 
     def pgf_array(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         f = np.exp(self.mu * (s - 1.0))
@@ -212,6 +312,20 @@ class Poisson(OffspringLaw):
     def taylor(self, s: float, k: int) -> float:
         mu = self.mu
         return math.exp(k * math.log(mu) + mu * (s - 1.0) - math.lgamma(k + 1))
+
+    def taylor_terms(self, s: float, x: float, scale: float = 1.0):
+        # c_{k+1}/c_k = mu/(k+1), from c_0 = e^{mu(s-1)}
+        mu = self.mu
+        r = mu * x
+        k, c0 = 0, math.exp(mu * (s - 1.0))
+        t = scale * c0
+        if c0 < _TINY:
+            k, t = yield from _underflow_start(
+                lambda k: math.log(scale) + mu * (s - 1.0) + k * math.log(r) - math.lgamma(k + 1))
+        while True:
+            yield t
+            k += 1
+            t *= r / k
 
     def sample(self, rng: np.random.Generator) -> int:
         return int(rng.poisson(self.mu))
@@ -239,6 +353,11 @@ class Binomial(OffspringLaw):
         base = 1.0 - self.q + self.q * s
         return math.perm(self.n, order) * self.q**order * base ** (self.n - order)
 
+    def _pgf_pair(self, s: float) -> tuple[float, float]:
+        n = self.n
+        base = 1.0 - self.q + self.q * s
+        return base**n, n * self.q * base ** (n - 1)
+
     def pgf_array(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n, q = self.n, self.q
         base = 1.0 - q + q * s
@@ -252,6 +371,28 @@ class Binomial(OffspringLaw):
         # log C(n,k) from the exact integer; lgamma differences lose n log n ulps
         return math.exp(math.log(math.comb(n, k)) + k * math.log(q)
                         + (n - k) * math.log(base))
+
+    def taylor_terms(self, s: float, x: float, scale: float = 1.0):
+        # c_{k+1}/c_k = (n-k)/(k+1) q/(1-q+qs), from c_0 = (1-q+qs)^n
+        n, q = self.n, self.q
+        base = 1.0 - q + q * s
+        if base == 0.0:  # q = 1 at s = 0: all mass on n
+            yield from [0.0] * n
+            yield scale * x**n
+            return
+        r = q * x / base
+        k, c0 = 0, base**n
+        t = scale * c0
+        if c0 < _TINY:
+            k, t = yield from _underflow_start(
+                lambda k: math.log(scale) + math.log(math.comb(n, k)) + n * math.log(base)
+                + k * math.log(r))
+        while True:
+            yield t
+            if k == n:
+                return
+            t *= r * (n - k) / (k + 1)
+            k += 1
 
     def sample(self, rng: np.random.Generator) -> int:
         return int(rng.binomial(self.n, self.q))

@@ -9,7 +9,6 @@ excursion count N(p, k).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 from .offspring import OffspringLaw, truncated_support
@@ -42,6 +41,12 @@ def solve_rho(law: OffspringLaw, p: float) -> tuple[float, float]:
     first step that is not positive, which is the roundoff floor. Returns
     (rho, lambda) with lambda = 1 - p + p*rho.
     """
+    return _solve(law, p)[:2]
+
+
+def _solve(law: OffspringLaw, p: float) -> tuple[float, float, float]:
+    """`solve_rho`, plus f'(lambda). Each step takes f and f' from one
+    `_pgf_pair` call; lambda stays in [0, 1] because rho does."""
     m = law.mean()
     if m <= 1.0:
         raise ModelError(f"law mean {m} <= 1: no supercritical phase")
@@ -50,11 +55,13 @@ def solve_rho(law: OffspringLaw, p: float) -> tuple[float, float]:
     if law.is_degenerate:
         raise ModelError("degenerate law f(s) = s has no meaningful extinction problem")
 
+    p = float(p)  # a numpy scalar gives the same values, more slowly
     rho = 0.0
     for _ in range(MAX_NEWTON_ITER):
         lam = 1.0 - p + p * rho
-        g = law.pgf_derivative(lam, 0) - rho
-        gp = p * law.pgf_derivative(lam, 1) - 1.0
+        f, fp = law._pgf_pair(lam)
+        g = f - rho
+        gp = p * fp - 1.0
         if not (g > 0.0 and gp < 0.0):
             break  # at the root to roundoff: the next step would not be positive
         step = -g / gp
@@ -68,19 +75,20 @@ def solve_rho(law: OffspringLaw, p: float) -> tuple[float, float]:
         )
 
     lam = 1.0 - p + p * rho
-    if abs(rho - law.pgf_derivative(lam, 0)) > 10 * TOL:
+    f, fp = law._pgf_pair(lam)
+    if abs(rho - f) > 10 * TOL:
         raise ConvergenceError(f"rho residual exceeds {10 * TOL} after refinement (p={p})")
     # Roundoff in g moves the root by about G_ROUNDOFF / |g'(rho)|. As p -> 1/m
     # that shift outgrows the root's distance to the trivial root 1, and a
     # "root" found there is noise: refuse one that roundoff moves by more
     # than a tenth of that distance.
-    slope = 1.0 - p * law.pgf_derivative(lam, 1)
+    slope = 1.0 - p * fp
     if not G_ROUNDOFF < 0.1 * slope * (1.0 - rho):
         raise ConvergenceError(
             f"rho is not resolved from the trivial root 1 in double precision "
             f"(p={p} too close to 1/m)"
         )
-    return rho, lam
+    return rho, lam, fp
 
 
 @dataclass(frozen=True)
@@ -95,12 +103,12 @@ class PercolatedModel:
     m_hat: float = field(init=False)
 
     def __init__(self, law: OffspringLaw, p: float):
-        rho, lam = solve_rho(law, p)
+        rho, lam, fp = _solve(law, p)
         object.__setattr__(self, "law", law)
         object.__setattr__(self, "p", float(p))
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "m_hat", p * law.pgf_derivative(lam, 1))
+        object.__setattr__(self, "m_hat", p * fp)
 
 
 def thinned_pmf(model: PercolatedModel, l: int) -> float:
@@ -158,16 +166,32 @@ def mean_excursions(model: PercolatedModel, k: int) -> float:
     return model.p * model.rho * model.law.taylor(model.lam, k + 1) / ck
 
 
+# The iterators build each law by the offspring law's coefficient recurrence
+# (`taylor_terms`) on the probabilities themselves: pbar_l = c_l(1-p) p^l,
+# ptilde_k = c_k(lambda) (p(1-rho))^k / (1-rho) and phat_k = c_k(1-p) (p rho)^k / rho.
+
 def thinned_pmf_iter(model: PercolatedModel):
     """Yield (l, pbar_l) covering all but TAIL_MASS of the thinned law."""
-    return truncated_support(functools.partial(thinned_pmf, model), 0, model.law.max_support)
+    terms = model.law.taylor_terms(1.0 - model.p, model.p)
+    return truncated_support(terms, 0, model.law.max_support)
+
+
+def _backbone_terms(model: PercolatedModel):
+    """ptilde_1, ptilde_2, ... without end (or to the law's max_support)."""
+    q = 1.0 - model.rho
+    terms = model.law.taylor_terms(model.lam, model.p * q, 1.0 / q)
+    next(terms)  # k = 0: rho/(1-rho), where ptilde_0 is 0
+    return terms
 
 
 def backbone_pmf_iter(model: PercolatedModel):
     """Yield (k, ptilde_k) for k >= 1 covering all but TAIL_MASS."""
-    return truncated_support(functools.partial(backbone_pmf, model), 1, model.law.max_support)
+    return truncated_support(_backbone_terms(model), 1, model.law.max_support)
 
 
 def bush_pmf_iter(model: PercolatedModel):
     """Yield (k, phat_k) for k >= 0 covering all but TAIL_MASS."""
-    return truncated_support(functools.partial(bush_pmf, model), 0, model.law.max_support)
+    if model.rho == 0.0:
+        raise ModelError("rho = 0: no bushes exist, bush law undefined")
+    terms = model.law.taylor_terms(1.0 - model.p, model.p * model.rho, 1.0 / model.rho)
+    return truncated_support(terms, 0, model.law.max_support)

@@ -14,14 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .offspring import OffspringLaw
-from .percolation import (
-    ModelError,
-    PercolatedModel,
-    backbone_pmf,
-    backbone_pmf_iter,
-    bush_mean_size,
-)
+from .offspring import OffspringLaw, truncated_support
+from .percolation import ModelError, PercolatedModel, _backbone_terms, bush_mean_size
 
 ROUTE_TOL = 1e-10
 DELAY_TOL = 1e-10
@@ -63,8 +57,10 @@ def _backbone_speed_closed(model: PercolatedModel) -> float:
     """S(p) = (1+rho)/(1-rho) - 2/((1-rho)^2 p) sum_n p_n (1-lam^{n+1})/(n+1)."""
     rho, lam, p = model.rho, model.lam, model.p
     acc = 0.0
+    power = lam  # lam^(n+1)
     for n, pn in model.law.support_iter():
-        acc += pn * (1.0 - lam ** (n + 1)) / (n + 1)
+        acc += pn * (1.0 - power) / (n + 1)
+        power *= lam
     return (1.0 + rho) / (1.0 - rho) - 2.0 / ((1.0 - rho) ** 2 * p) * acc
 
 
@@ -82,12 +78,13 @@ def _row(model: PercolatedModel) -> tuple[float, float]:
     # near criticality rho -> 1 amplifies roundoff by 1/(1-rho)^2
     slack = max(1.0, (1.0 - rho) ** -2)
     series = tail = 0.0
-    for k, pk in backbone_pmf_iter(model):
+    terms = _backbone_terms(model)
+    for k, pk in truncated_support(terms, 1, model.law.max_support):
         series += pk * (k - 1) / (k + 1)
         if k >= 2:
             tail += pk
     # N(p,k) at the last term k reaches ptilde_{k+1}, one past the cut
-    tail += backbone_pmf(model, k + 1)
+    tail += next(terms, 0.0)
     closed = _backbone_speed_closed(model)
     if abs(closed - series) > ROUTE_TOL * slack:
         raise InternalInconsistency(

@@ -219,10 +219,13 @@ class TestErrors:
         assert capsys.readouterr().err.startswith("numerical error:")
 
     @pytest.mark.parametrize("law", ["binomial:400,0.5", "poisson:200",
-                                     "pmf:" + ",".join(["1"] * 200)],
-                             ids=["binomial:400,0.5", "poisson:200", "pmf-200-weights"])
+                                     "pmf:" + ",".join(["1"] * 200), "poisson:2000",
+                                     "binomial:4000,0.5", "pmf:" + ",".join(["1"] * 1100)],
+                             ids=["binomial:400,0.5", "poisson:200", "pmf-200-weights",
+                                  "poisson:2000", "binomial:4000,0.5", "pmf-1100-weights"])
     def test_large_support_law_gets_a_row(self, law):
-        # their derivatives f^(k) overflow a float; the Taylor coefficients do not
+        # their derivatives f^(k) overflow a float, and past about 1000 so do
+        # the coefficients f^(k)/k!; the backbone probabilities do not
         proc = run_process(["speed", "--law", law, "--p", "0.5"])
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
@@ -232,6 +235,37 @@ class TestErrors:
         assert line == ",".join(format(v, ".12g") for v in (
             pt.p, pt.rho, pt.lam, pt.backbone_speed, pt.cluster_speed, pt.mean_delay)) + ",true"
         assert 0.0 < pt.cluster_speed <= pt.backbone_speed < 1.0
+
+    def test_1100_weight_pmf_rho(self):
+        law = "pmf:" + ",".join(["1"] * 1100)
+        proc = run_process(["rho", "--law", law, "--p", "0.5"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        rho, lam = gwspeed.solve_rho(gwspeed.parse_law(law), 0.5)
+        fields = proc.stdout.splitlines()[1].split(",")
+        assert fields[1:3] == [format(rho, ".12g"), format(lam, ".12g")]
+
+    @pytest.mark.parametrize("argv", [
+        ["check-condition", "--law", "pmf:nan,0,1"],
+        ["check-condition", "--law", "poisson:inf"],
+        ["check-condition", "--law", "poisson:1e400"],
+        ["speed", "--law", "pmf:inf,1", "--p", "0.9"],
+        ["rho", "--law", "poisson:nan", "--p", "0.9"],
+    ], ids=lambda argv: argv[2])
+    def test_non_finite_law_parameter_is_input_error(self, argv):
+        proc = run_process(argv)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr
+
+    def test_overflowing_weight_sum_is_rescaled(self):
+        # the weights' float sum overflows; the law is the uniform one
+        proc = run_process(["speed", "--law", "pmf:1e308,1e308,1e308,1e308", "--p", "0.9"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout == run_capture(["speed", "--law", "pmf:1,1,1,1", "--p", "0.9"])[1]
 
 
 class TestParserReuse:

@@ -1,5 +1,8 @@
+import itertools
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -223,3 +226,112 @@ class TestTaylor:
         law = Binomial(400, 0.5)
         expected = math.comb(400, 200) / 2**200
         assert law.taylor(1.0, 200) == pytest.approx(expected, rel=1e-13)
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("spec", ["pmf:nan,0,1", "pmf:inf,1", "pmf:0,-inf,1",
+                                      "poisson:inf", "poisson:1e400", "poisson:nan"])
+    def test_rejected(self, spec):
+        with pytest.raises(LawError):
+            parse_law(spec)
+
+    def test_overflowing_sum_rescaled(self):
+        # the weights' float sum is inf; the law is the uniform one on {0..3}
+        assert FinitePmf([1e308] * 4).weights == FinitePmf([1, 1, 1, 1]).weights
+
+    def test_finite_sum_keeps_its_bits(self):
+        w = np.array([0.3, 1e-300, 2.7, 1e300])
+        assert FinitePmf(w).weights == tuple(w / w.sum())
+
+
+PMF20 = parse_law("pmf:0.05,0.1,0.1,0.1,0.08,0.08,0.07,0.06,0.06,0.05,0.05,0.04,0.04,"
+                  "0.03,0.03,0.02,0.02,0.01,0.005,0.005")
+PAIR_LAWS = {**LAWS, "binomial:40,0.1": Binomial(40, 0.1), "pmf20": PMF20,
+             "geometric:0.9": Geometric(0.9), "poisson:1.3": Poisson(1.3)}
+
+
+class TestPgfPair:
+    @pytest.mark.parametrize("name", sorted(PAIR_LAWS))
+    def test_bit_identical_to_two_derivative_calls(self, name):
+        law = PAIR_LAWS[name]
+        for s in [*S_GRID, 1 / 3, 0.7071067811865476, 1 - 1e-9, 5e-324]:
+            s = float(s)
+            assert law._pgf_pair(s) == (law.pgf_derivative(s, 0), law.pgf_derivative(s, 1))
+
+
+def exact_taylor(law, s, k):
+    """f^(k)(s)/k! of a finite pmf in exact rational arithmetic."""
+    s = Fraction(s)
+    return sum(Fraction(w) * math.comb(j, k) * s ** (j - k)
+               for j, w in enumerate(law.weights) if j >= k)
+
+
+class TestFinitePmfTaylor:
+    """`FinitePmf.taylor` sums in exact integers and rounds once."""
+
+    @pytest.mark.parametrize("s,k", [(0.5, 0), (0.5, 1), (0.5, 550), (0.5, 1099),
+                                     (0.3, 900), (0.9, 700)])
+    def test_1100_weights_are_finite_and_exact(self, s, k):
+        # C(j, k) does not fit a float past about j = 1030; the sum does
+        law = FinitePmf([1.0] * 1100)
+        value = law.taylor(s, k)
+        assert math.isfinite(value)
+        assert value == float(exact_taylor(law, s, k))
+
+    def test_small_laws_correctly_rounded(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            law = FinitePmf(rng.dirichlet(np.ones(rng.integers(2, 12))).tolist())
+            for s in (0.0, float(rng.uniform()), 1.0):
+                for k in range(len(law.weights) + 1):
+                    assert law.taylor(s, k) == float(exact_taylor(law, s, k))
+
+    def test_overflow_is_an_overflow_error(self):
+        # c_550(1) = C(1100, 551)/1100 exceeds the largest float
+        with pytest.raises(OverflowError):
+            FinitePmf([1.0] * 1100).taylor(1.0, 550)
+
+
+TERM_LAWS = {**PAIR_LAWS, "binomial:3,1": Binomial(3, 1.0)}
+
+
+class TestTaylorTerms:
+    """`taylor_terms(s, x, scale)` gives scale c_k(s) x^k by a running product."""
+
+    @pytest.mark.parametrize("name", sorted(TERM_LAWS))
+    @pytest.mark.parametrize("s,x,scale", [(0.0, 1.0, 1.0), (0.4, 0.6, 1.0),
+                                           (0.75, 0.2, 3.0), (0.1, 0.9, 1.5)])
+    def test_matches_pointwise_taylor(self, name, s, x, scale):
+        law = TERM_LAWS[name]
+        terms = law.taylor_terms(s, x, scale)
+        for k in range(30):
+            expected = scale * law.taylor(s, k) * x**k
+            got = next(terms, 0.0)
+            assert got == pytest.approx(expected, rel=1e-13, abs=1e-300), k
+
+    @pytest.mark.parametrize("name", sorted(TERM_LAWS))
+    def test_stops_at_max_support(self, name):
+        law = TERM_LAWS[name]
+        if law.max_support is not None:
+            assert len(list(law.taylor_terms(0.3, 0.5))) == law.max_support + 1
+
+    @pytest.mark.parametrize("law,s,x,mean", [
+        (Poisson(2000.0), 0.5, 0.5, 1000), (Binomial(4000, 0.5), 0.5, 0.5, 1000),
+        (FinitePmf([1.0] * 1100), 0.5, 0.5, 274.75),
+    ], ids=["poisson:2000", "binomial:4000,0.5", "pmf-1100-weights"])
+    def test_large_support_sums_to_one(self, law, s, x, mean):
+        # s + x = 1: the terms are the p-thinned law, with no overflow
+        # though c_k(s) itself overflows, and no loss where c_0 underflows
+        terms = list(itertools.islice(law.taylor_terms(s, x), 3000))
+        assert all(math.isfinite(t) for t in terms)
+        assert math.fsum(terms) == pytest.approx(1.0, abs=1e-12)
+        assert math.fsum(k * t for k, t in enumerate(terms)) == pytest.approx(mean, rel=1e-12)
+
+    def test_underflowing_start_matches_log_space(self):
+        # e^{-1000} underflows; the terms below the first normal one come
+        # from log space, the rest from the ratio recurrence
+        terms = Poisson(2000.0).taylor_terms(0.5, 0.5)
+        with mpmath.workdps(30):
+            for k in range(1400):
+                exact = mpmath.exp(-1000) * mpmath.mpf(1000) ** k / mpmath.factorial(k)
+                assert abs(next(terms) - float(exact)) <= 1e-12 * float(exact) + 1e-300

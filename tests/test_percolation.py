@@ -21,7 +21,14 @@ from gwspeed import (
     solve_rho,
     thinned_pmf,
 )
-from gwspeed.percolation import backbone_pmf_iter, bush_pmf_iter, thinned_pmf_iter
+from gwspeed.percolation import (
+    G_ROUNDOFF,
+    MAX_NEWTON_ITER,
+    TOL,
+    backbone_pmf_iter,
+    bush_pmf_iter,
+    thinned_pmf_iter,
+)
 
 BINARY = FinitePmf([0, 0, 1])
 
@@ -122,6 +129,86 @@ class TestSolveRho:
     def test_strictly_decreasing_in_p(self, name):
         rhos = [solve_rho(LAWS[name], p)[0] for p in P_GRID]
         assert all(b < a for a, b in zip(rhos, rhos[1:]))
+
+
+def two_call_newton(law, p):
+    """Reference for `solve_rho` and `PercolatedModel`: the same Newton
+    iteration with f and f' from two validated `pgf_derivative` calls per
+    step, as it was written before the one-call `(f, f')` pair. Returns
+    (rho, lambda, m_hat)."""
+    m = law.mean()
+    if m <= 1.0:
+        raise ModelError(f"law mean {m} <= 1: no supercritical phase")
+    if not 1.0 / m < p <= 1.0:
+        raise ModelError(f"retaining probability p={p} not in (1/m, 1] = ({1.0 / m}, 1]")
+    if law.is_degenerate:
+        raise ModelError("degenerate law f(s) = s has no meaningful extinction problem")
+    rho = 0.0
+    for _ in range(MAX_NEWTON_ITER):
+        lam = 1.0 - p + p * rho
+        g = law.pgf_derivative(lam, 0) - rho
+        gp = p * law.pgf_derivative(lam, 1) - 1.0
+        if not (g > 0.0 and gp < 0.0):
+            break
+        step = -g / gp
+        rho = min(rho + step, 1.0)
+        if step <= TOL * 0.01:
+            break
+    else:
+        raise ConvergenceError(
+            f"Newton iteration for rho did not converge within {MAX_NEWTON_ITER} "
+            f"steps (p={p})"
+        )
+    lam = 1.0 - p + p * rho
+    if abs(rho - law.pgf_derivative(lam, 0)) > 10 * TOL:
+        raise ConvergenceError(f"rho residual exceeds {10 * TOL} after refinement (p={p})")
+    slope = 1.0 - p * law.pgf_derivative(lam, 1)
+    if not G_ROUNDOFF < 0.1 * slope * (1.0 - rho):
+        raise ConvergenceError(
+            f"rho is not resolved from the trivial root 1 in double precision "
+            f"(p={p} too close to 1/m)"
+        )
+    return rho, lam, p * law.pgf_derivative(lam, 1)
+
+
+NEWTON_LAWS = ["poisson:2", "pmf:0,0,1", "geometric:0.6667", "binomial:3,0.8",
+               "binomial:40,0.1", "pmf:0.4,0.1,0,0,0,0,0,0,0,0,0.5", "poisson:1.3",
+               "geometric:0.9", "pmf:0.1,0.2,0.3,0.4",
+               "pmf:0.05,0.1,0.1,0.1,0.08,0.08,0.07,0.06,0.06,0.05,0.05,0.04,0.04,"
+               "0.03,0.03,0.02,0.02,0.01,0.005,0.005"]
+
+
+def outcome(fn, *args):
+    """Each float's bits, or the exception's type and message."""
+    try:
+        return [float(v).hex() for v in fn(*args)]
+    except Exception as exc:  # noqa: BLE001 -- the exception is the outcome
+        return type(exc), str(exc)
+
+
+def model_values(law, p):
+    m = PercolatedModel(law, p)
+    return m.rho, m.lam, m.m_hat
+
+
+class TestNewtonOracle:
+    """`solve_rho` takes f and f' from one `_pgf_pair` call per step; rho,
+    lambda and m_hat stay bit-identical to the two-call iteration, and the
+    same inputs raise the same errors."""
+
+    @pytest.mark.parametrize("spec", NEWTON_LAWS, ids=lambda s: s if len(s) < 25 else "pmf20")
+    def test_bit_identical_to_two_call_newton(self, spec):
+        law = parse_law(spec)
+        lo = 1.0 / law.mean()
+        raised = 0
+        for gap in np.geomspace(1e-7, 1.0, 80):
+            p = lo + gap  # a numpy scalar, as sweep grids give
+            expected = outcome(two_call_newton, law, p)
+            solved = isinstance(expected, list)
+            assert outcome(solve_rho, law, p) == (expected[:2] if solved else expected), p
+            assert outcome(model_values, law, p) == expected, p
+            raised += not solved
+        assert 0 < raised < 80  # both errors near 1/m and p > 1 are covered
 
 
 class TestModel:
@@ -354,10 +441,25 @@ class TestExactThinning:
     @pytest.mark.parametrize("spec,exact", [
         ("poisson:200", poisson_pmf(100)),
         ("binomial:400,0.5", binomial_pmf(400, mpmath.mpf(0.25))),
-    ], ids=["poisson:200", "binomial:400,0.5"])
+        ("poisson:2000", poisson_pmf(1000)),
+        ("binomial:4000,0.5", binomial_pmf(4000, mpmath.mpf(0.25))),
+    ], ids=["poisson:200", "binomial:400,0.5", "poisson:2000", "binomial:4000,0.5"])
     def test_thinned_pmf_is_the_thinned_law(self, spec, exact):
         m = PercolatedModel(parse_law(spec), 0.5)
         terms = list(thinned_pmf_iter(m))
         with mpmath.workdps(30):
             assert max(abs(v - float(exact(l))) for l, v in terms) <= 1e-12
         assert sum(v for _, v in terms) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("spec,exact", [
+        ("poisson:2000", poisson_pmf(1000)),
+        ("binomial:4000,0.5", binomial_pmf(4000, mpmath.mpf(0.25))),
+    ], ids=["poisson:2000", "binomial:4000,0.5"])
+    def test_backbone_law_is_the_thinned_law(self, spec, exact):
+        # rho underflows to 0 here, so ptilde_k = pbar_k for k >= 1; the
+        # coefficients c_k(lambda) themselves overflow a float
+        m = PercolatedModel(parse_law(spec), 0.5)
+        assert m.rho == 0.0
+        terms = list(backbone_pmf_iter(m))
+        with mpmath.workdps(30):
+            assert max(abs(v - float(exact(k))) for k, v in terms) <= 1e-12

@@ -22,7 +22,12 @@ from gwspeed import (
     sweep,
 )
 from gwspeed.cli import run
-from gwspeed.percolation import backbone_pmf_iter, bush_mean_size, mean_excursions
+from gwspeed.percolation import (
+    backbone_pmf,
+    backbone_pmf_iter,
+    bush_mean_size,
+    mean_excursions,
+)
 from gwspeed.speed import CONDITION_GRID, CONDITION_SLACK, _backbone_speed_closed, _row
 
 BINARY = FinitePmf([0, 0, 1])
@@ -384,3 +389,56 @@ class TestSingleCodePath:
             expected = [row.p, m.rho, m.lam, backbone_speed(m), cluster_speed(m),
                         mean_delay(m)]
             assert cli[:6] == [format(v, ".12g") for v in expected]
+
+
+def pointwise_row(model, terms):
+    """`_row`'s two sums over the first `terms` values of the pointwise
+    `backbone_pmf`, and the delay's one term past them."""
+    pk = [backbone_pmf(model, k) for k in range(1, terms + 2)]
+    series = sum(p * (k - 1) / (k + 1) for k, p in enumerate(pk[:-1], 1))
+    if model.rho == 0.0:
+        return series, 0.0
+    tail = sum(pk[1:])
+    return series, 2.0 * model.rho / (1.0 - model.rho) * bush_mean_size(model) * tail
+
+
+class TestRecurrenceRow:
+    """`_row` builds ptilde by the law's coefficient recurrence; the
+    pointwise `backbone_pmf` over the same terms gives the same row."""
+
+    @pytest.mark.parametrize("spec", ROW_LAWS, ids=lambda s: s if len(s) < 20 else "pmf20")
+    def test_matches_pointwise_backbone_pmf(self, spec):
+        law = parse_law(spec)
+        lo = 1 / law.mean()
+        for f in ROW_FRACTIONS:
+            m = PercolatedModel(law, lo + (1 - lo) * f if f < 1 else 1.0)
+            terms = sum(1 for _ in backbone_pmf_iter(m))
+            s, delay = _row(m)
+            ref_s, ref_delay = pointwise_row(m, terms)
+            assert s == pytest.approx(ref_s, rel=1e-13, abs=0), m.p
+            assert delay == pytest.approx(ref_delay, rel=1e-13, abs=0), m.p
+
+
+def thinned_speed_oracle(pmf):
+    """sum_{k>=1} pbar_k (k-1)/(k+1) at 30 digits for a thinned law pbar
+    with mean about 1000."""
+    with mpmath.workdps(30):
+        return float(mpmath.fsum(pmf(k) * mpmath.mpf(k - 1) / (k + 1) for k in range(1, 3000)))
+
+
+class TestLargeSupportRows:
+    """At p = 1/2 these laws thin to Poisson(1000) and Binomial(4000, 1/4),
+    and rho underflows to 0, so S(p) is the thinned law's series. Their
+    coefficients c_k(lambda) overflow a float; ptilde_k does not."""
+
+    @pytest.mark.parametrize("spec,pmf", [
+        ("poisson:2000", lambda k: mpmath.exp(-1000) * mpmath.mpf(1000) ** k
+         / mpmath.factorial(k)),
+        ("binomial:4000,0.5", lambda k: mpmath.binomial(4000, k) * mpmath.mpf(0.25) ** k
+         * mpmath.mpf(0.75) ** (4000 - k)),
+    ], ids=["poisson:2000", "binomial:4000,0.5"])
+    def test_speed_is_the_thinned_series(self, spec, pmf):
+        (row,) = sweep(parse_law(spec), [0.5])
+        assert row.rho == 0.0 and row.mean_delay == 0.0
+        assert row.backbone_speed == pytest.approx(thinned_speed_oracle(pmf), abs=1e-12)
+        assert row.cluster_speed == row.backbone_speed
