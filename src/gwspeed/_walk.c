@@ -7,13 +7,26 @@
  * final depth, the number of nodes grown and the generator's state
  * afterwards are bit-identical to _walk's.
  *
- * The arena is the Python Cluster's minus two columns: node v's children
- * are first[v] .. first[v]+nchild[v]-1, and nchild[v] < 0 marks v as not
- * expanded yet, its sign standing in for the colour (GREEN_LEAF, RED_LEAF;
- * pipe nodes are built expanded). Depths are counted up the parent links
- * once, at the end. Indices are int32, so max_nodes must be below 2^31.
+ * The arena is the Python Cluster's `first` and `nchild` columns: node v's
+ * children are first[v] .. first[v]+nchild[v]-1, and nchild[v] < 0 marks v
+ * as not expanded yet, its sign standing in for the colour (GREEN_LEAF,
+ * RED_LEAF; pipe nodes are built expanded). There are no parent links: the
+ * walk keeps the path from the root to its position as a stack, pushed on
+ * a step down and popped on a step up, and the final depth is its height.
+ * Columns and stack double as they fill. Small ones live on the heap,
+ * whose pages the next walk reuses without faulting them in again; large
+ * ones live in anonymous mappings that mremap grows by moving pages, not
+ * copying them, so a large arena is never held twice and only the pages
+ * written become resident. Indices are int32, so max_nodes must be below
+ * 2^31.
+ *
+ * A call touches no global state: calls on distinct bit generators may run
+ * at once, on threads sharing one walk_params.
  */
+#define _GNU_SOURCE
 #include <stdlib.h>
+#include <string.h>
+#include <sys/mman.h>
 
 #include "numpy/random/distributions.h"
 
@@ -22,6 +35,8 @@ enum { LAW_PMF, LAW_GEOMETRIC, LAW_POISSON, LAW_BINOMIAL, LAW_PIPES };
 enum { WALK_OK, WALK_NODE_CAP, WALK_GREEN_CAP, WALK_BUSH_CAP, WALK_NO_MEMORY };
 
 #define UNIFORM_BLOCK 8192
+#define FIRST_CAP 1024
+#define HEAP_CAP (1 << 16)
 #define GREEN_LEAF (-1)
 #define RED_LEAF (-2)
 
@@ -40,34 +55,73 @@ typedef struct {
     int64_t horizon;
 } walk_params;
 
+/* A growable int32 column; data is NULL until the first grow. */
+typedef struct {
+    int32_t *data;
+    int64_t cap;
+} column;
+
 typedef struct {
     const walk_params *prm;
     bitgen_t *bg;
     binomial_t binomial;
-    int32_t *parent, *first, *nchild;
-    int64_t size, cap;
+    column first, nchild, path;
+    int64_t size;
 } walk_state;
+
+/* Make room for n entries in c, doubling from FIRST_CAP but never past
+ * limit (the caller keeps n <= limit). Up to HEAP_CAP entries a column
+ * lives on the heap, whose pages the next walk reuses. Past that it moves
+ * once to an anonymous mapping, which mremap grows without copying. */
+static int grow(column *c, int64_t n, int64_t limit)
+{
+    if (n <= c->cap)
+        return WALK_OK;
+    int64_t cap = c->cap ? c->cap : FIRST_CAP;
+    while (cap < n)
+        cap *= 2;
+    if (cap > limit)
+        cap = limit;
+    size_t bytes = (size_t)cap * sizeof(int32_t), held = (size_t)c->cap * sizeof(int32_t);
+    void *grown;
+    if (cap <= HEAP_CAP) {
+        grown = realloc(c->data, bytes);
+        if (grown == NULL)
+            return WALK_NO_MEMORY;
+    } else if (c->cap > HEAP_CAP) {
+        grown = mremap(c->data, held, bytes, MREMAP_MAYMOVE);
+    } else {
+        grown = mmap(NULL, bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (grown != MAP_FAILED && held) {
+            memcpy(grown, c->data, held);
+            free(c->data);
+        }
+    }
+    if (grown == MAP_FAILED)
+        return WALK_NO_MEMORY;
+    c->data = grown;
+    c->cap = cap;
+    return WALK_OK;
+}
+
+static void release(column *c)
+{
+    if (c->cap > HEAP_CAP)
+        munmap(c->data, (size_t)c->cap * sizeof(int32_t));
+    else
+        free(c->data);
+}
 
 /* Claim n more nodes under the cap; *start is the first one's index. */
 static int reserve(walk_state *s, int64_t n, int64_t *start)
 {
     if (n > s->prm->max_nodes - s->size)
         return WALK_NODE_CAP;
-    if (s->size + n > s->cap) {
-        int64_t cap = s->cap;
-        while (cap < s->size + n)
-            cap *= 2;
-        if (cap > s->prm->max_nodes)
-            cap = s->prm->max_nodes;
-        int32_t **cols[3] = {&s->parent, &s->first, &s->nchild};
-        for (int i = 0; i < 3; i++) {
-            int32_t *grown = realloc(*cols[i], (size_t)cap * sizeof(int32_t));
-            if (grown == NULL)
-                return WALK_NO_MEMORY;
-            *cols[i] = grown;
-        }
-        s->cap = cap;
-    }
+    int status = grow(&s->first, s->size + n, s->prm->max_nodes);
+    if (status == WALK_OK)
+        status = grow(&s->nchild, s->size + n, s->prm->max_nodes);
+    if (status)
+        return status;
     *start = s->size;
     s->size += n;
     return WALK_OK;
@@ -81,12 +135,11 @@ static int attach(walk_state *s, int64_t node, int64_t greens, int64_t reds)
     if (status)
         return status;
     for (int64_t i = start; i < start + n; i++) {
-        s->parent[i] = (int32_t)node;
-        s->first[i] = 0;
-        s->nchild[i] = i < start + greens ? GREEN_LEAF : RED_LEAF;
+        s->first.data[i] = 0;
+        s->nchild.data[i] = i < start + greens ? GREEN_LEAF : RED_LEAF;
     }
-    s->first[node] = (int32_t)start;
-    s->nchild[node] = (int32_t)n;
+    s->first.data[node] = (int32_t)start;
+    s->nchild.data[node] = (int32_t)n;
     if (s->prm->law != LAW_PIPES)
         return WALK_OK;
     int64_t length = random_geometric(s->bg, 1.0 - s->prm->p) - 1;
@@ -96,11 +149,10 @@ static int attach(walk_state *s, int64_t node, int64_t greens, int64_t reds)
     if (status)
         return status;
     for (int64_t i = start; i < start + length; i++) {
-        s->parent[i] = (int32_t)(i == start ? node : i - 1);
-        s->first[i] = (int32_t)(i + 1);
-        s->nchild[i] = i < start + length - 1;
+        s->first.data[i] = (int32_t)(i + 1);
+        s->nchild.data[i] = i < start + length - 1;
     }
-    s->nchild[node] += 1;
+    s->nchild.data[node] += 1;
     return WALK_OK;
 }
 
@@ -170,32 +222,34 @@ static int expand_red(walk_state *s, int64_t node)
 static int walk(walk_state *s, int64_t *depth)
 {
     double buf[UNIFORM_BLOCK];
-    int64_t pos = 0, cur = 0;
+    int64_t pos = 0, cur = 0, height = 0;
     int status;
     random_standard_uniform_fill(s->bg, UNIFORM_BLOCK, buf);
     for (int64_t t = 0; t < s->prm->horizon; t++) {
-        int64_t n = s->nchild[cur];
+        int64_t n = s->nchild.data[cur];
         if (n < 0) {
             status = n == GREEN_LEAF ? expand_green(s, cur) : expand_red(s, cur);
             if (status)
                 return status;
-            n = s->nchild[cur];
+            n = s->nchild.data[cur];
         }
         if (pos == UNIFORM_BLOCK) {
             random_standard_uniform_fill(s->bg, UNIFORM_BLOCK, buf);
             pos = 0;
         }
         double u = buf[pos++];
-        if (cur) {
-            int64_t j = (int64_t)(u * (double)(n + 1));
-            cur = j == 0 ? s->parent[cur] : s->first[cur] + j - 1;
+        int64_t j = cur ? (int64_t)(u * (double)(n + 1)) : (int64_t)(u * (double)n) + 1;
+        if (j == 0) {
+            cur = s->path.data[--height];
         } else {
-            cur = s->first[0] + (int64_t)(u * (double)n);
+            /* the path is shorter than the arena, which is under max_nodes */
+            if (height == s->path.cap && (status = grow(&s->path, height + 1, s->prm->max_nodes)))
+                return status;
+            s->path.data[height++] = (int32_t)cur;
+            cur = s->first.data[cur] + j - 1;
         }
     }
-    *depth = 0;
-    for (; cur; cur = s->parent[cur])
-        ++*depth;
+    *depth = height;
     return WALK_OK;
 }
 
@@ -204,21 +258,19 @@ static int walk(walk_state *s, int64_t *depth)
  * 1 <= max_nodes < 2^31. */
 int gw_walk(bitgen_t *bg, const walk_params *prm, int64_t *out)
 {
-    walk_state s = {.prm = prm, .bg = bg, .size = 1, .cap = 1024};
-    s.parent = malloc(s.cap * sizeof(int32_t));
-    s.first = malloc(s.cap * sizeof(int32_t));
-    s.nchild = malloc(s.cap * sizeof(int32_t));
-    int status = WALK_NO_MEMORY;
-    if (s.parent && s.first && s.nchild) {
-        /* the root: green, no parent, not expanded */
-        s.parent[0] = -1;
-        s.first[0] = 0;
-        s.nchild[0] = GREEN_LEAF;
+    walk_state s = {.prm = prm, .bg = bg, .size = 1};
+    int status = grow(&s.first, 1, prm->max_nodes);
+    if (status == WALK_OK)
+        status = grow(&s.nchild, 1, prm->max_nodes);
+    if (status == WALK_OK) {
+        /* the root: green, not expanded */
+        s.first.data[0] = 0;
+        s.nchild.data[0] = GREEN_LEAF;
         status = walk(&s, &out[0]);
     }
     out[1] = s.size;
-    free(s.parent);
-    free(s.first);
-    free(s.nchild);
+    release(&s.first);
+    release(&s.nchild);
+    release(&s.path);
     return status;
 }

@@ -232,7 +232,7 @@ class FinitePmf(OffspringLaw):
                 return k
         return len(self.weights) - 1
 
-    @property
+    @functools.cached_property
     def max_support(self) -> int:
         for k in range(len(self.weights) - 1, -1, -1):
             if self.weights[k] > 0:

@@ -12,13 +12,16 @@ is estimated as |X_T| / T averaged over independent replicas.
 compiled kernel (`_walk.c`, built by `_ckernel` on first use) that makes the
 same draws from numpy's own samplers in the same order, so its results and
 the generator's state afterwards are bit-identical; without a compiler they
-fall back to `_walk` with a warning.
+fall back to `_walk` with a warning. The replicas of one estimate run at
+once, one per usable CPU, with the same result on any number of CPUs.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,7 +244,8 @@ def _walker(new_cluster, horizon: int):
 def _kernel_params(cluster: Cluster, horizon: int):
     """The compiled kernel's arguments for a walk on a fresh copy of
     `cluster`, or None for a cluster or law it does not implement, or law
-    parameters numpy would reject (numpy then raises its own error)."""
+    parameters numpy would reject (numpy then raises its own error). The
+    kernel only reads them, so replicas running at once share one."""
     from ._ckernel import WalkParams, doubles
 
     model, law, sampler = cluster.model, cluster.model.law, cluster.bush_sampler
@@ -332,20 +336,72 @@ def walk_path(cluster: Cluster, horizon: int, rng: np.random.Generator) -> list[
     return path
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _replica_depths(walk, seed: int, replicas: int) -> list[int]:
+    """[walk(default_rng([seed, r])) for r in range(replicas)], the replicas
+    spread over one thread per usable CPU, the caller's included.
+
+    Threads take replica indices in order from one counter and store each
+    depth at its index, so the list does not depend on the thread count.
+    The compiled kernel releases the interpreter lock, and each replica owns
+    its generator and arena. After a replica fails no new one starts, and
+    the error of the lowest failing replica is raised: every lower replica
+    has run, so it is the error the replicas run one by one would raise.
+    """
+    depths = [0] * replicas
+    errors = {}
+    indices = iter(range(replicas))
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                r = None if errors else next(indices, None)
+            if r is None:
+                return
+            try:
+                depths[r] = walk(np.random.default_rng([seed, r]))
+            except BaseException as exc:  # re-raised in the caller below
+                with lock:
+                    errors[r] = exc
+
+    helpers = [threading.Thread(target=work, name=f"gwspeed-replicas-{i}")
+               for i in range(min(replicas, _usable_cpus()) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        with lock:  # the caller was interrupted between replicas: start no more
+            indices = iter(())
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return depths
+
+
 def _estimate(new_cluster, horizon: int, replicas: int, seed: int,
               law_spec: str, p: float) -> WalkEstimate:
     """Mean and standard error of |X_T|/T over independent replicas.
 
     Replica r walks on a fresh cluster from new_cluster() with its own rng
-    sub-stream default_rng([seed, r]), so any replica reproduces in isolation.
+    sub-stream default_rng([seed, r]), so any replica reproduces in isolation
+    and the estimate does not depend on how many replicas run at once (see
+    _replica_depths). The kernel's WalkParams are shared, read-only, by the
+    replicas.
     """
     if horizon < 10**3:
         raise ValueError(f"horizon must be >= 1000, got {horizon}")
     if replicas < 2:
         raise ValueError(f"replicas must be >= 2, got {replicas}")
     walk = _walker(new_cluster, horizon)
-    speeds = np.array([walk(np.random.default_rng([seed, r])) / horizon
-                       for r in range(replicas)])
+    speeds = np.array([depth / horizon for depth in _replica_depths(walk, seed, replicas)])
     return WalkEstimate(
         speed_hat=float(speeds.mean()),
         std_error=float(speeds.std(ddof=1) / math.sqrt(replicas)),

@@ -8,9 +8,11 @@ branch the walk uses.
 
 import os
 import re
+import shutil
 import stat
 import subprocess
 import sys
+import sysconfig
 import threading
 import types
 import warnings
@@ -68,12 +70,12 @@ def compiled(kernel, cluster, horizon, rng):
     return sim._compiled_walk(kernel, sim._kernel_params(cluster, horizon), rng)
 
 
-def assert_parity(kernel, new_cluster):
-    for r in range(REPLICAS):
+def assert_parity(kernel, new_cluster, horizon=HORIZON, replicas=REPLICAS):
+    for r in range(replicas):
         rng_py, rng_c = np.random.default_rng([3, r]), np.random.default_rng([3, r])
         cluster = new_cluster()
-        depth = sim._walk(cluster, HORIZON, rng_py)
-        assert compiled(kernel, new_cluster(), HORIZON, rng_c) == (depth, len(cluster.parent))
+        depth = sim._walk(cluster, horizon, rng_py)
+        assert compiled(kernel, new_cluster(), horizon, rng_c) == (depth, len(cluster.parent))
         assert rng_c.random() == rng_py.random()
 
 
@@ -85,6 +87,11 @@ class TestParity:
     @pytest.mark.parametrize("p", PIPES_P)
     def test_pipes(self, kernel, p):
         assert_parity(kernel, pipes_cluster(p))
+
+    def test_long_walk_grows_arena_and_path(self, kernel):
+        # depth about 9e4 and 2.6e5 nodes: the path stack and the columns
+        # double from 1024 entries, leave the heap at 2^16 and are remapped
+        assert_parity(kernel, law_cluster("pmf:0,0,1", 0.95), horizon=3 * 10**5, replicas=1)
 
 
 def both_kernels_raise(kernel, new_cluster, horizon=10**4):
@@ -105,6 +112,11 @@ class TestErrors:
             run_walk(model, 10**4, np.random.default_rng(0), max_nodes=50)
         assert both_kernels_raise(kernel, law_cluster("pmf:0,0,1", 0.75, 50)) == \
             ["arena capacity 50 exhausted"] * 2
+
+    @pytest.mark.parametrize("max_nodes", [3000, 100000])  # on the heap, then mapped
+    def test_node_cap_between_doublings(self, kernel, max_nodes):
+        assert both_kernels_raise(kernel, law_cluster("pmf:0,0,1", 0.95, max_nodes),
+                                  horizon=2 * 10**5) == [f"arena capacity {max_nodes} exhausted"] * 2
 
     def test_node_cap_pipes(self, kernel):
         assert both_kernels_raise(kernel, pipes_cluster(0.95, 50)) == \
@@ -188,6 +200,15 @@ class TestBuild:
         edited.write_bytes(_ckernel.SOURCE.read_bytes() + b"\n")
         monkeypatch.setattr(_ckernel, "SOURCE", edited)
         assert _ckernel.module_path() != before
+
+    def test_source_compiles_without_warnings(self):
+        py_include = sysconfig.get_paths()["include"]
+        if shutil.which("gcc") is None or not os.path.isfile(os.path.join(py_include, "Python.h")):
+            pytest.skip("no gcc or no Python headers")
+        lint = subprocess.run(["gcc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+                               "-isystem", np.get_include(), "-isystem", py_include,
+                               str(_ckernel.SOURCE)], capture_output=True, text=True, timeout=60)
+        assert lint.returncode == 0, lint.stderr
 
     def test_cache_dir_made_private(self, tmp_path, monkeypatch):
         (tmp_path / "gwspeed").mkdir(mode=0o755)

@@ -292,6 +292,15 @@ class TestFinitePmfTaylor:
             FinitePmf([1.0] * 1100).taylor(1.0, 550)
 
 
+class TestMaxSupport:
+    @pytest.mark.parametrize("law", [PMF20, FinitePmf([0.2, 0.5, 0.3, 0, 0]), FinitePmf([1])],
+                             ids=["pmf20", "trailing-zeros", "point-mass-at-0"])
+    def test_cached_value_is_the_scan(self, law):
+        scan = max(k for k, w in enumerate(law.weights) if w > 0)
+        assert law.max_support == scan
+        assert law.__dict__["max_support"] == scan  # computed once, then read back
+
+
 TERM_LAWS = {**PAIR_LAWS, "binomial:3,1": Binomial(3, 1.0)}
 
 

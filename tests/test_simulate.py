@@ -1,5 +1,8 @@
 import io
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from gwspeed import (
     simulate_pipes,
     thinned_pmf,
 )
+from gwspeed import simulate as sim
 from gwspeed.cli import run
 from gwspeed.simulate import (
     GREEN,
@@ -294,6 +298,103 @@ class TestSimulatePipes:
             simulate_pipes(0.5, 2000, 8, 0)
         with pytest.raises(ModelError):
             simulate_pipes(1.0, 2000, 8, 0)
+
+
+# The benchmark's six sweep laws, each at p halfway between 1/m and 1.
+SWEEP_LAWS = ("pmf:0,0,1", "poisson:2", "geometric:0.6667", "binomial:3,0.8",
+              "binomial:40,0.1", "pmf:0.05,0.1,0.1,0.1,0.08,0.08,0.07,0.06,0.06,0.05,"
+              "0.05,0.04,0.04,0.03,0.03,0.02,0.02,0.01,0.005,0.005")
+
+
+def sequential(walk, seed, replicas):
+    """The replica loop run one replica after another: the reference."""
+    return [walk(np.random.default_rng([seed, r])) for r in range(replicas)]
+
+
+def replica_of(rng):
+    return rng.bit_generator.seed_seq.entropy[1]
+
+
+def set_cpus(monkeypatch, n):
+    monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+class TestParallelReplicas:
+    """`_estimate` spreads replicas over the usable CPUs; its output must be
+    the one-by-one loop's on any CPU count."""
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("replicas", [2, 3, 17])
+    @pytest.mark.parametrize("spec", [*SWEEP_LAWS, "pipes"])
+    def test_equals_the_sequential_loop(self, monkeypatch, spec, replicas, cpus):
+        def call():
+            if spec == "pipes":
+                return simulate_pipes(0.8, 2000, replicas, 5)
+            law = parse_law(spec)
+            return estimate_speed(PercolatedModel(law, (1 / law.mean() + 1) / 2), 2000,
+                                  replicas, 5)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sim, "_replica_depths", sequential)
+            expected = repr(call())
+        set_cpus(monkeypatch, cpus)
+        threads = threading.active_count()
+        assert repr(call()) == expected
+        assert threading.active_count() == threads
+
+    def test_caller_and_helpers_walk_at_once(self, monkeypatch):
+        set_cpus(monkeypatch, 3)
+        barrier = threading.Barrier(3, timeout=10)
+        walkers = set()
+
+        def walk(rng):
+            walkers.add(threading.current_thread())
+            if replica_of(rng) < 3:
+                barrier.wait()  # broken unless three replicas run together
+            return replica_of(rng)
+
+        assert sim._replica_depths(walk, 1, 9) == list(range(9))
+        assert threading.main_thread() in walkers and len(walkers) == 3
+
+    def test_every_replica_runs_once_under_stress(self, monkeypatch):
+        # more threads than cores, switching as often as the interpreter can
+        set_cpus(monkeypatch, 8)
+        started = []
+
+        def walk(rng):
+            started.append(replica_of(rng))
+            return replica_of(rng)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            depths = sim._replica_depths(walk, 2, 3000)
+        finally:
+            sys.setswitchinterval(interval)
+        assert depths == list(range(3000))
+        assert sorted(started) == list(range(3000))
+
+    def test_lowest_failing_replica_raises_and_stops_the_rest(self, monkeypatch):
+        set_cpus(monkeypatch, 3)
+        started = []
+
+        def walk(rng):
+            r = replica_of(rng)
+            started.append(r)
+            # replica 5 fails first, while replica 3 is still running
+            time.sleep(0.05 if r == 3 else 0.0 if r == 5 else 0.002)
+            if r in (3, 5):
+                raise SimulationError(f"replica {r}")
+            return r
+
+        monkeypatch.setattr(sim, "_walker", lambda new_cluster, horizon: walk)
+        threads = threading.active_count()
+        with pytest.raises(SimulationError, match="^replica 3$"):
+            estimate_speed(binary_model(), 1000, 200, 0)
+        assert threading.active_count() == threads
+        assert set(range(4)) <= set(started) and max(started) < 20
+        with pytest.raises(SimulationError, match="^replica 3$"):
+            sequential(walk, 0, 200)
 
 
 class TestSeededGolden:
