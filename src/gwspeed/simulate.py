@@ -12,8 +12,8 @@ is estimated as |X_T| / T averaged over independent replicas.
 compiled kernel (`_walk.c`, built by `_ckernel` on first use) that makes the
 same draws from numpy's own samplers in the same order, so its results and
 the generator's state afterwards are bit-identical; without a compiler they
-fall back to `_walk` with a warning. The replicas of one estimate run at
-once, one per usable CPU, with the same result on any number of CPUs.
+fall back to `_walk` with a warning. The compiled replicas of one estimate
+run at once, one per usable CPU, with the same result on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -218,14 +218,19 @@ def run_walk(model: PercolatedModel, horizon: int, rng: np.random.Generator,
     """Walk `horizon` steps from the root of a fresh cluster; return |X_T|."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    return _walker(lambda: Cluster(model, max_nodes=max_nodes), horizon)(rng)
+    return _walker(lambda: Cluster(model, max_nodes=max_nodes), horizon)[0](rng)
 
 
 def _walker(new_cluster, horizon: int):
-    """rng -> |X_T| of a `horizon`-step walk on a fresh new_cluster().
+    """(walk, split), where walk is rng -> |X_T| of a `horizon`-step walk on
+    a fresh new_cluster().
 
-    It runs the compiled kernel, or `_walk` when the kernel cannot be built
+    walk runs the compiled kernel, or `_walk` when the kernel cannot be built
     or does not implement the cluster or its law; both make the same draws.
+    For the compiled kernel, split(n) is walk for n replicas running at once:
+    it walks under 1/n of the node cap and returns None where that share runs
+    out. For `_walk`, which holds the interpreter lock throughout, split is
+    None.
     """
     from . import _ckernel  # imported on first walk: `import gwspeed` loads no kernel
 
@@ -237,8 +242,21 @@ def _walker(new_cluster, horizon: int):
     kernel = _ckernel.load()
     params = _kernel_params(prototype, horizon) if kernel is not None else None
     if params is None:
-        return lambda rng: _walk(new_cluster(), horizon, rng)
-    return lambda rng: _compiled_walk(kernel, params, rng)[0]
+        return (lambda rng: _walk(new_cluster(), horizon, rng)), None
+
+    def split(n):
+        share = _kernel_params(prototype, horizon)
+        share.max_nodes = max(1, share.max_nodes // n)
+
+        def walk_share(rng):
+            status, depth, _ = _run_kernel(kernel, share, rng)
+            if status == _STATUS_NODE_CAP:
+                return None
+            _check(status, share)
+            return depth
+        return walk_share
+
+    return (lambda rng: _compiled_walk(kernel, params, rng)[0]), split
 
 
 def _kernel_params(cluster: Cluster, horizon: int):
@@ -277,10 +295,22 @@ def _kernel_params(cluster: Cluster, horizon: int):
 
 def _compiled_walk(kernel, params, rng: np.random.Generator) -> tuple[int, int]:
     """(final depth, nodes grown) of the compiled walk, drawing from `rng`."""
+    status, depth, nodes = _run_kernel(kernel, params, rng)
+    _check(status, params)
+    return depth, nodes
+
+
+def _run_kernel(kernel, params, rng: np.random.Generator) -> tuple[int, int, int]:
+    """(status, final depth, nodes grown) of one call to the kernel."""
     out = (ctypes.c_int64 * 2)()
     bit_generator = rng.bit_generator
     with bit_generator.lock:
         status = kernel(bit_generator.ctypes.bit_generator, ctypes.byref(params), out)
+    return status, out[0], out[1]
+
+
+def _check(status: int, params) -> None:
+    """Raise the error of a kernel status other than success."""
     if status == _STATUS_NODE_CAP:
         raise SimulationError(_node_cap(params.max_nodes))
     if status == _STATUS_GREEN_CAP:
@@ -289,7 +319,6 @@ def _compiled_walk(kernel, params, rng: np.random.Generator) -> tuple[int, int]:
         raise SimulationError(_BUSH_CAP)
     if status == _STATUS_NO_MEMORY:
         raise MemoryError("compiled walk arena")
-    return out[0], out[1]
 
 
 def _walk(cluster: Cluster, horizon: int, rng: np.random.Generator,
@@ -336,24 +365,26 @@ def walk_path(cluster: Cluster, horizon: int, rng: np.random.Generator) -> list[
     return path
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _replica_depths(walk, split, seed: int, replicas: int) -> list[int]:
+    """[walk(default_rng([seed, r])) for r in range(replicas)].
 
-
-def _replica_depths(walk, seed: int, replicas: int) -> list[int]:
-    """[walk(default_rng([seed, r])) for r in range(replicas)], the replicas
-    spread over one thread per usable CPU, the caller's included.
-
-    Threads take replica indices in order from one counter and store each
-    depth at its index, so the list does not depend on the thread count.
-    The compiled kernel releases the interpreter lock, and each replica owns
-    its generator and arena. After a replica fails no new one starts, and
-    the error of the lowest failing replica is raised: every lower replica
-    has run, so it is the error the replicas run one by one would raise.
+    With `split` (see _walker) the replicas run at once on one thread per
+    usable CPU, the caller's included (the kernel builds only on Linux, which
+    has os.sched_getaffinity). Threads take replica indices in order
+    from one counter and store each depth at its index. Running at once, each
+    replica walks under its share of the node cap, so a call holds no more
+    arena than one replica under the whole cap. A replica that outgrows its
+    share walks again afterwards, alone, under the whole cap, on a fresh
+    generator, so its depth is the one the whole cap gives. The list does not
+    depend on the thread count. After a replica fails no new one starts, and
+    the error of the lowest failing replica is raised: every lower replica has
+    run, so it is the error the replicas run one by one would raise.
     """
-    depths = [0] * replicas
+    workers = 1 if split is None else min(replicas, len(os.sched_getaffinity(0)))
+    if workers == 1:
+        return [walk(np.random.default_rng([seed, r])) for r in range(replicas)]
+    walk_share = split(workers)
+    depths = [None] * replicas
     errors = {}
     indices = iter(range(replicas))
     lock = threading.Lock()
@@ -365,13 +396,13 @@ def _replica_depths(walk, seed: int, replicas: int) -> list[int]:
             if r is None:
                 return
             try:
-                depths[r] = walk(np.random.default_rng([seed, r]))
+                depths[r] = walk_share(np.random.default_rng([seed, r]))
             except BaseException as exc:  # re-raised in the caller below
                 with lock:
                     errors[r] = exc
 
     helpers = [threading.Thread(target=work, name=f"gwspeed-replicas-{i}")
-               for i in range(min(replicas, _usable_cpus()) - 1)]
+               for i in range(workers - 1)]
     for helper in helpers:
         helper.start()
     try:
@@ -381,6 +412,9 @@ def _replica_depths(walk, seed: int, replicas: int) -> list[int]:
             indices = iter(())
         for helper in helpers:
             helper.join()
+    for r in range(min(errors, default=replicas)):
+        if depths[r] is None:
+            depths[r] = walk(np.random.default_rng([seed, r]))
     if errors:
         raise errors[min(errors)]
     return depths
@@ -394,14 +428,14 @@ def _estimate(new_cluster, horizon: int, replicas: int, seed: int,
     sub-stream default_rng([seed, r]), so any replica reproduces in isolation
     and the estimate does not depend on how many replicas run at once (see
     _replica_depths). The kernel's WalkParams are shared, read-only, by the
-    replicas.
+    replicas running at once.
     """
     if horizon < 10**3:
         raise ValueError(f"horizon must be >= 1000, got {horizon}")
     if replicas < 2:
         raise ValueError(f"replicas must be >= 2, got {replicas}")
-    walk = _walker(new_cluster, horizon)
-    speeds = np.array([depth / horizon for depth in _replica_depths(walk, seed, replicas)])
+    walk, split = _walker(new_cluster, horizon)
+    speeds = np.array([depth / horizon for depth in _replica_depths(walk, split, seed, replicas)])
     return WalkEstimate(
         speed_hat=float(speeds.mean()),
         std_error=float(speeds.std(ddof=1) / math.sqrt(replicas)),

@@ -21,6 +21,7 @@ from gwspeed import (
     simulate_pipes,
     thinned_pmf,
 )
+from gwspeed import _ckernel
 from gwspeed import simulate as sim
 from gwspeed.cli import run
 from gwspeed.simulate import (
@@ -306,7 +307,7 @@ SWEEP_LAWS = ("pmf:0,0,1", "poisson:2", "geometric:0.6667", "binomial:3,0.8",
               "0.05,0.04,0.04,0.03,0.03,0.02,0.02,0.01,0.005,0.005")
 
 
-def sequential(walk, seed, replicas):
+def sequential(walk, split, seed, replicas):
     """The replica loop run one replica after another: the reference."""
     return [walk(np.random.default_rng([seed, r])) for r in range(replicas)]
 
@@ -353,7 +354,7 @@ class TestParallelReplicas:
                 barrier.wait()  # broken unless three replicas run together
             return replica_of(rng)
 
-        assert sim._replica_depths(walk, 1, 9) == list(range(9))
+        assert sim._replica_depths(walk, lambda n: walk, 1, 9) == list(range(9))
         assert threading.main_thread() in walkers and len(walkers) == 3
 
     def test_every_replica_runs_once_under_stress(self, monkeypatch):
@@ -368,7 +369,7 @@ class TestParallelReplicas:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            depths = sim._replica_depths(walk, 2, 3000)
+            depths = sim._replica_depths(walk, lambda n: walk, 2, 3000)
         finally:
             sys.setswitchinterval(interval)
         assert depths == list(range(3000))
@@ -387,14 +388,75 @@ class TestParallelReplicas:
                 raise SimulationError(f"replica {r}")
             return r
 
-        monkeypatch.setattr(sim, "_walker", lambda new_cluster, horizon: walk)
+        monkeypatch.setattr(sim, "_walker", lambda new_cluster, horizon: (walk, lambda n: walk))
         threads = threading.active_count()
         with pytest.raises(SimulationError, match="^replica 3$"):
             estimate_speed(binary_model(), 1000, 200, 0)
         assert threading.active_count() == threads
         assert set(range(4)) <= set(started) and max(started) < 20
         with pytest.raises(SimulationError, match="^replica 3$"):
-            sequential(walk, 0, 200)
+            sequential(walk, None, 0, 200)
+
+    def test_python_walk_runs_on_the_calling_thread(self, monkeypatch):
+        # `_walk` holds the interpreter lock, so threads would only add arenas
+        set_cpus(monkeypatch, 3)
+        with monkeypatch.context() as patch:
+            patch.setattr(sim, "_replica_depths", sequential)
+            expected = repr(estimate_speed(binary_model(), 1000, 4, 0))
+        monkeypatch.setattr(_ckernel, "load", lambda: None)
+        walkers = set()
+        python_walk = sim._walk
+
+        def walk(*args):
+            walkers.add(threading.current_thread())
+            return python_walk(*args)
+
+        monkeypatch.setattr(sim, "_walk", walk)
+        assert repr(estimate_speed(binary_model(), 1000, 4, 0)) == expected
+        assert walkers == {threading.main_thread()}
+
+    @pytest.mark.parametrize("max_nodes", [112000, 1000])
+    def test_many_cpus_share_the_node_cap(self, monkeypatch, max_nodes):
+        """64 replicas on 64 CPUs: the caps of the walks running at once sum
+        to at most max_nodes, and walks past their share (1750 or 15 nodes;
+        these walks grow 1606 to 1905) rerun under the whole cap."""
+        model = PercolatedModel(parse_law("pmf:0,0,1"), 0.95)
+
+        def call():
+            return sim._estimate(lambda: Cluster(model, max_nodes=max_nodes), 2000, 64, 9,
+                                 "pmf:0,0,1", 0.95)
+
+        def outcome():
+            try:
+                return repr(call())
+            except SimulationError as exc:
+                return str(exc)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sim, "_replica_depths", sequential)
+            expected = outcome()
+        set_cpus(monkeypatch, 64)
+        lock = threading.Lock()
+        running, caps, peaks = [], set(), []
+        run_kernel = sim._run_kernel
+
+        def spy(kernel, params, rng):
+            with lock:
+                running.append(params.max_nodes)
+                caps.add(params.max_nodes)
+                peaks.append(sum(running))
+            try:
+                return run_kernel(kernel, params, rng)
+            finally:
+                with lock:
+                    running.remove(params.max_nodes)
+
+        monkeypatch.setattr(sim, "_run_kernel", spy)
+        assert outcome() == expected
+        assert max(peaks) <= max_nodes
+        assert caps == {max_nodes // 64, max_nodes}
+        if max_nodes == 1000:
+            assert expected == "arena capacity 1000 exhausted"
 
 
 class TestSeededGolden:
