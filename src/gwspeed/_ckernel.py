@@ -4,8 +4,8 @@ The kernel links numpy's static random library, ``libnpyrandom.a``, so it
 draws through the same routines as ``numpy.random.Generator``. gcc builds it
 on first use with fixed flags; the shared object is cached per user under
 ``$XDG_CACHE_HOME/gwspeed`` (default ``~/.cache/gwspeed``, mode 0700), keyed
-by a hash of the source, the numpy version and the interpreter's ABI tag.
-Importing this module builds and loads nothing.
+by a hash of the source, the numpy version, the interpreter's ABI tag and
+the compiler flags. Importing this module builds and loads nothing.
 """
 
 from __future__ import annotations

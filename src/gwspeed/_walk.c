@@ -7,6 +7,16 @@
  * final depth, the number of nodes grown and the generator's state
  * afterwards are bit-identical to _walk's.
  *
+ * numpy's binomial sampler keeps its set-up (the exp, log and sqrt work
+ * that depends only on n and p) in the binomial_t it is given, and redoes
+ * it whenever a call's (n, p) differs from the last one there. A green
+ * expansion alternates thinning at p, colouring at 1-rho and, for a
+ * binomial law, the law's own draw, so one shared binomial_t would be set
+ * up afresh on nearly every call. Each draw role has its own slots
+ * instead: the law's draw one, thinning and colouring one per count below
+ * BINOMIAL_SLOTS and one shared by larger counts. A slot holds exactly
+ * what numpy would compute again, so the draws are unchanged.
+ *
  * The arena is the Python Cluster's `first` and `nchild` columns: node v's
  * children are first[v] .. first[v]+nchild[v]-1, and nchild[v] < 0 marks v
  * as not expanded yet, its sign standing in for the colour (GREEN_LEAF,
@@ -39,6 +49,7 @@ enum { WALK_OK, WALK_NODE_CAP, WALK_GREEN_CAP, WALK_BUSH_CAP, WALK_NO_MEMORY };
 #define HEAP_CAP (1 << 16)
 #define GREEN_LEAF (-1)
 #define RED_LEAF (-2)
+#define BINOMIAL_SLOTS 64
 
 typedef struct {
     int64_t law;
@@ -64,7 +75,7 @@ typedef struct {
 typedef struct {
     const walk_params *prm;
     bitgen_t *bg;
-    binomial_t binomial;
+    binomial_t law_binomial, thin[BINOMIAL_SLOTS + 1], colour[BINOMIAL_SLOTS + 1];
     column first, nchild, path;
     int64_t size;
 } walk_state;
@@ -159,6 +170,13 @@ static int attach(walk_state *s, int64_t node, int64_t greens, int64_t reds)
     return WALK_OK;
 }
 
+/* The slot of a role's table for count n: one per count below
+ * BINOMIAL_SLOTS, and one shared by every larger count. */
+static binomial_t *slot(binomial_t *role, int64_t n)
+{
+    return &role[n < BINOMIAL_SLOTS ? n : BINOMIAL_SLOTS];
+}
+
 /* The offspring law's sample method. */
 static int64_t law_sample(walk_state *s)
 {
@@ -178,7 +196,7 @@ static int64_t law_sample(walk_state *s)
     case LAW_POISSON:
         return random_poisson(s->bg, prm->a);
     default:
-        return random_binomial(s->bg, prm->a, prm->n, &s->binomial);
+        return random_binomial(s->bg, prm->a, prm->n, &s->law_binomial);
     }
 }
 
@@ -186,9 +204,9 @@ static int64_t law_sample(walk_state *s)
 static int64_t thinned_count(walk_state *s)
 {
     if (s->prm->law == LAW_PIPES)
-        return random_binomial(s->bg, s->prm->p, 2, &s->binomial);
+        return random_binomial(s->bg, s->prm->p, 2, slot(s->thin, 2));
     int64_t k = law_sample(s);
-    return k ? random_binomial(s->bg, s->prm->p, k, &s->binomial) : 0;
+    return k ? random_binomial(s->bg, s->prm->p, k, slot(s->thin, k)) : 0;
 }
 
 static int expand_green(walk_state *s, int64_t node)
@@ -198,7 +216,7 @@ static int expand_green(walk_state *s, int64_t node)
         int64_t c = thinned_count(s);
         if (c == 0)
             continue;
-        int64_t greens = rho > 0.0 ? random_binomial(s->bg, 1.0 - rho, c, &s->binomial) : c;
+        int64_t greens = rho > 0.0 ? random_binomial(s->bg, 1.0 - rho, c, slot(s->colour, c)) : c;
         if (greens == 0)
             continue;
         return attach(s, node, greens, c - greens);

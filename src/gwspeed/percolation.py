@@ -9,6 +9,7 @@ excursion count N(p, k).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .offspring import OffspringLaw, truncated_support
@@ -114,11 +115,12 @@ class PercolatedModel:
 def thinned_pmf(model: PercolatedModel, l: int) -> float:
     """pbar_l: probability of l retained children after p-thinning.
 
-    pbar_l = sum_r p_{l+r} p^l (1-p)^r C(l+r, r) = p^l f^(l)(1-p) / l!.
+    pbar_l = sum_r p_{l+r} p^l (1-p)^r C(l+r, r) = p^l f^(l)(1-p) / l!,
+    the l-th term of `thinned_pmf_iter`'s stream.
     """
     if l < 0:
         raise ValueError(f"l must be >= 0, got {l}")
-    return model.p**l * model.law.taylor(1.0 - model.p, l)
+    return _term(model.law.taylor_terms(1.0 - model.p, model.p), l)
 
 
 def rho_derivative(model: PercolatedModel) -> float:
@@ -131,12 +133,13 @@ def rho_derivative(model: PercolatedModel) -> float:
 
 
 def backbone_pmf(model: PercolatedModel, k: int) -> float:
-    """ptilde_k = f^(k)(lambda) / k! * p^k (1-rho)^(k-1); ptilde_0 = 0."""
+    """ptilde_k = f^(k)(lambda) / k! * p^k (1-rho)^(k-1); ptilde_0 = 0.
+    The k-th term of `backbone_pmf_iter`'s stream."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     if k == 0:
         return 0.0
-    return model.law.taylor(model.lam, k) * model.p**k * (1.0 - model.rho) ** (k - 1)
+    return _term(_backbone_terms(model), k - 1)
 
 
 def bush_pmf(model: PercolatedModel, k: int) -> float:
@@ -157,17 +160,27 @@ def bush_mean_size(model: PercolatedModel) -> float:
 
 def mean_excursions(model: PercolatedModel, k: int) -> float:
     """N(p, k) = p rho / (k+1) * f^(k+1)(lambda) / f^(k)(lambda), i.e.
-    p rho c_{k+1} / c_k with c_k = f^(k)(lambda)/k!."""
+    p rho c_{k+1} / c_k with c_k = f^(k)(lambda)/k!. As ptilde_{k+1}/ptilde_k
+    = p (1-rho) c_{k+1}/c_k, it is rho/(1-rho) times the ratio of two
+    adjacent terms of the backbone stream."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    ck = model.law.taylor(model.lam, k)
-    if ck == 0.0:
-        raise ModelError(f"f^({k})(lambda) = 0: backbone degree {k + 1} impossible")
-    return model.p * model.rho * model.law.taylor(model.lam, k + 1) / ck
+    terms = _backbone_terms(model)
+    pk = _term(terms, k - 1)
+    if pk == 0.0:
+        raise ModelError(f"ptilde_{k} = 0 in floating point: backbone degree {k + 1} "
+                         f"impossible or below the smallest float")
+    return model.rho * _term(terms, 0) / ((1.0 - model.rho) * pk)
 
 
-# The iterators build each law by the offspring law's coefficient recurrence
-# (`taylor_terms`) on the probabilities themselves: pbar_l = c_l(1-p) p^l,
+def _term(terms, k: int) -> float:
+    """The k-th item of `terms`, or 0 past its end (a finite support)."""
+    return next(itertools.islice(terms, k, None), 0.0)
+
+
+# The pointwise functions above and the iterators build each law by the
+# offspring law's coefficient recurrence (`taylor_terms`) on the
+# probabilities themselves: pbar_l = c_l(1-p) p^l,
 # ptilde_k = c_k(lambda) (p(1-rho))^k / (1-rho) and phat_k = c_k(1-p) (p rho)^k / rho.
 
 def thinned_pmf_iter(model: PercolatedModel):

@@ -3,7 +3,11 @@
 The compiled kernel draws from numpy's own samplers in `_walk`'s order, so
 each replica's final depth, its node count and the generator's position
 afterwards must be bit-identical, on laws that reach every numpy sampler
-branch the walk uses.
+branch the walk uses. The kernel keeps numpy's binomial set-up in one slot
+per draw role and, for thinning and colouring, per count below 64, with
+one slot shared by larger counts; `poisson:60` at p = 1/2 thins counts on
+both sides of that bound and of numpy's switch from inversion to BTPE, and
+`poisson:130` colours counts on both sides of it.
 """
 
 import os
@@ -44,6 +48,8 @@ LAWS = [
     ("binomial:40,0.1", 0.5),
     ("binomial:80,0.9", 0.5),  # BTPE: thinning Binomial(~72, 1/2)
     ("binomial:80,0.9", 0.55),  # BTPE through 1-p
+    ("poisson:60", 0.5),  # thinning counts past 60 run BTPE, past 63 share a slot
+    ("poisson:130", 0.5),  # colouring counts past 63 share a slot too
 ]
 PIPES_P = [0.6, 0.8, 0.95]  # pipe lengths: geometric search at 0.6, inversion above 2/3
 
@@ -201,13 +207,17 @@ class TestBuild:
         monkeypatch.setattr(_ckernel, "SOURCE", edited)
         assert _ckernel.module_path() != before
 
-    def test_source_compiles_without_warnings(self):
+    def test_source_compiles_without_warnings(self, tmp_path):
+        # at the build's flags, so the optimiser's warnings (-Warray-bounds,
+        # -Wmaybe-uninitialized) are checked too
         py_include = sysconfig.get_paths()["include"]
         if shutil.which("gcc") is None or not os.path.isfile(os.path.join(py_include, "Python.h")):
             pytest.skip("no gcc or no Python headers")
-        lint = subprocess.run(["gcc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+        flags = [f for f in _ckernel.CFLAGS if f != "-shared"]
+        lint = subprocess.run(["gcc", *flags, "-c", "-Wall", "-Wextra", "-Werror",
                                "-isystem", np.get_include(), "-isystem", py_include,
-                               str(_ckernel.SOURCE)], capture_output=True, text=True, timeout=60)
+                               str(_ckernel.SOURCE), "-o", str(tmp_path / "walk.o")],
+                              capture_output=True, text=True, timeout=60)
         assert lint.returncode == 0, lint.stderr
 
     def test_cache_dir_made_private(self, tmp_path, monkeypatch):

@@ -390,6 +390,51 @@ class TestMeanExcursions:
             mean_excursions(m, 0)
 
 
+class TestPointwiseFromStream:
+    """The pointwise functions take their terms from the streams that the
+    iterators, the rows and the bush sampler read."""
+
+    @pytest.mark.parametrize("name", sorted(LAWS))
+    @pytest.mark.parametrize("p", [0.6, 0.8, 1.0])
+    def test_terms_are_the_iterators(self, name, p):
+        m = PercolatedModel(LAWS[name], p)
+        for l, pl in thinned_pmf_iter(m):
+            assert thinned_pmf(m, l) == pl
+        terms = dict(backbone_pmf_iter(m))
+        for k, pk in terms.items():
+            assert backbone_pmf(m, k) == pk
+            if pk == 0.0:  # the binary law at p = 1, k = 1
+                with pytest.raises(ModelError):
+                    mean_excursions(m, k)
+                continue
+            assert mean_excursions(m, k) == pytest.approx(
+                m.p * m.rho * m.law.taylor(m.lam, k + 1) / m.law.taylor(m.lam, k),
+                rel=1e-13, abs=0)
+
+    def test_past_a_finite_support(self):
+        m = PercolatedModel(Binomial(3, 0.8), 0.8)
+        assert thinned_pmf(m, 4) == backbone_pmf(m, 4) == 0.0
+        assert mean_excursions(m, 3) == 0.0
+
+    def test_large_poisson_gives_the_stream_term(self):
+        # f^(1500)(lambda)/1500! overflows a float; the terms are probabilities
+        m = PercolatedModel(parse_law("poisson:3000"), 0.5)
+        with pytest.raises(OverflowError):
+            m.law.taylor(m.lam, 1500)
+        assert backbone_pmf(m, 1500) == dict(backbone_pmf_iter(m))[1500]
+        assert thinned_pmf(m, 1500) == dict(thinned_pmf_iter(m))[1500]
+        assert backbone_pmf(m, 1500) == pytest.approx(0.010300073145108538, rel=1e-14)
+        assert m.rho == 0.0 and mean_excursions(m, 1500) == 0.0
+
+    def test_mean_excursions_where_the_coefficient_overflows(self):
+        # Poisson: c_{k+1}/c_k = mu/(k+1), so N(p, k) = p rho mu/(k+1)
+        m = PercolatedModel(Poisson(1e5), 2e-4)
+        with pytest.raises(OverflowError):
+            m.law.taylor(m.lam, 100)
+        assert m.rho > 0.0
+        assert mean_excursions(m, 100) == pytest.approx(m.p * m.rho * 1e5 / 101, rel=1e-13)
+
+
 class TestNormalization:
     @pytest.mark.parametrize("name", sorted(LAWS))
     @pytest.mark.parametrize("p", [0.55, 0.7, 0.85, 0.99])
