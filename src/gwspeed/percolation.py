@@ -10,6 +10,7 @@ excursion count N(p, k).
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, field
 
 from .offspring import OffspringLaw, truncated_support
@@ -116,7 +117,9 @@ def thinned_pmf(model: PercolatedModel, l: int) -> float:
     """pbar_l: probability of l retained children after p-thinning.
 
     pbar_l = sum_r p_{l+r} p^l (1-p)^r C(l+r, r) = p^l f^(l)(1-p) / l!,
-    the l-th term of `thinned_pmf_iter`'s stream.
+    the l-th term of `thinned_pmf_iter`'s stream. A call walks the stream
+    from its start: O(l) for a parametric law, and O(n^2) for a FinitePmf
+    of n weights whatever l is. Read many terms from `thinned_pmf_iter`.
     """
     if l < 0:
         raise ValueError(f"l must be >= 0, got {l}")
@@ -134,7 +137,8 @@ def rho_derivative(model: PercolatedModel) -> float:
 
 def backbone_pmf(model: PercolatedModel, k: int) -> float:
     """ptilde_k = f^(k)(lambda) / k! * p^k (1-rho)^(k-1); ptilde_0 = 0.
-    The k-th term of `backbone_pmf_iter`'s stream."""
+    The k-th term of `backbone_pmf_iter`'s stream, at `thinned_pmf`'s cost
+    per call; read many terms from `backbone_pmf_iter`."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     if k == 0:
@@ -143,7 +147,8 @@ def backbone_pmf(model: PercolatedModel, k: int) -> float:
 
 
 def bush_pmf(model: PercolatedModel, k: int) -> float:
-    """phat_k = pbar_k rho^(k-1), the red-vertex offspring law."""
+    """phat_k = pbar_k rho^(k-1), the red-vertex offspring law, at
+    `thinned_pmf`'s cost per call; read many terms from `bush_pmf_iter`."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     if model.rho == 0.0:
@@ -162,15 +167,24 @@ def mean_excursions(model: PercolatedModel, k: int) -> float:
     """N(p, k) = p rho / (k+1) * f^(k+1)(lambda) / f^(k)(lambda), i.e.
     p rho c_{k+1} / c_k with c_k = f^(k)(lambda)/k!. As ptilde_{k+1}/ptilde_k
     = p (1-rho) c_{k+1}/c_k, it is rho/(1-rho) times the ratio of two
-    adjacent terms of the backbone stream."""
+    adjacent terms of the backbone stream, at `backbone_pmf`'s cost per call.
+    Raises ModelError where a term it divides is 0 or subnormal, which would
+    leave the ratio undefined or with few correct digits."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     terms = _backbone_terms(model)
     pk = _term(terms, k - 1)
-    if pk == 0.0:
-        raise ModelError(f"ptilde_{k} = 0 in floating point: backbone degree {k + 1} "
-                         f"impossible or below the smallest float")
-    return model.rho * _term(terms, 0) / ((1.0 - model.rho) * pk)
+    if pk < sys.float_info.min:
+        raise ModelError(f"ptilde_{k} = {pk!r}: backbone degree {k + 1} impossible "
+                         f"or below the smallest normal float")
+    nxt = next(terms, None)
+    if nxt is None:  # past a finite support
+        return 0.0
+    if model.rho > 0.0 and nxt < sys.float_info.min:
+        # with lambda > 0 every c_j up to the support is positive, so a 0 here
+        # is an underflow too
+        raise ModelError(f"ptilde_{k + 1} = {nxt!r} is below the smallest normal float")
+    return model.rho * nxt / ((1.0 - model.rho) * pk)
 
 
 def _term(terms, k: int) -> float:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -433,6 +434,23 @@ class TestPointwiseFromStream:
             m.law.taylor(m.lam, 100)
         assert m.rho > 0.0
         assert mean_excursions(m, 100) == pytest.approx(m.p * m.rho * 1e5 / 101, rel=1e-13)
+
+    def test_mean_excursions_refuses_subnormal_terms(self):
+        # Geometric: c_{k+1}/c_k = a/(1-a lambda), so N(p, k) = p rho a/(1-a lambda);
+        # ptilde_2174 is the first term below the smallest normal float
+        m = PercolatedModel(Geometric(0.8), 0.9)
+        assert sys.float_info.min > backbone_pmf(m, 2174) > 0.0
+        assert backbone_pmf(m, 2173) >= sys.float_info.min
+        assert mean_excursions(m, 2172) == pytest.approx(
+            m.p * m.rho * 0.8 / (1 - 0.8 * m.lam), rel=1e-13)
+        for k in (2173, 2174, 2200):
+            with pytest.raises(ModelError, match="below the smallest normal float"):
+                mean_excursions(m, k)
+        # a subnormal ptilde_1 under a normal ptilde_2: p_0 = rho = lambda = 1e-310
+        m = PercolatedModel(FinitePmf([1e-310, 0, 1]), 1.0)
+        assert sys.float_info.min > backbone_pmf(m, 1) > 0.0 and backbone_pmf(m, 2) == 1.0
+        with pytest.raises(ModelError, match="ptilde_1 = 2e-310"):
+            mean_excursions(m, 1)
 
 
 class TestNormalization:

@@ -22,12 +22,7 @@ from gwspeed import (
     sweep,
 )
 from gwspeed.cli import run
-from gwspeed.percolation import (
-    backbone_pmf,
-    backbone_pmf_iter,
-    bush_mean_size,
-    mean_excursions,
-)
+from gwspeed.percolation import backbone_pmf_iter, bush_mean_size
 from gwspeed.speed import CONDITION_GRID, CONDITION_SLACK, _backbone_speed_closed, _row
 
 BINARY = FinitePmf([0, 0, 1])
@@ -359,11 +354,14 @@ ROW_FRACTIONS = [1e-3, 1e-2, 0.05, 0.1, 0.3, 0.5, 0.8, 1.0]
 
 
 def delay_oracle(model):
-    """The delay as the direct sum over ptilde_k 2 M N(p,k)."""
+    """The delay as the direct sum over ptilde_k 2 M N(p,k), with
+    N(p,k) = p rho c_{k+1}/c_k from the log-space `taylor`, apart from the
+    recurrence that the rows and `mean_excursions` read."""
     if model.rho == 0.0:
         return 0.0
     big_m = bush_mean_size(model)
-    return sum(pk * 2.0 * big_m * mean_excursions(model, k)
+    law, lam = model.law, model.lam
+    return sum(pk * 2.0 * big_m * model.p * model.rho * law.taylor(lam, k + 1) / law.taylor(lam, k)
                for k, pk in backbone_pmf_iter(model) if pk > 0.0)
 
 
@@ -392,9 +390,11 @@ class TestSingleCodePath:
 
 
 def pointwise_row(model, terms):
-    """`_row`'s two sums over the first `terms` values of the pointwise
-    `backbone_pmf`, and the delay's one term past them."""
-    pk = [backbone_pmf(model, k) for k in range(1, terms + 2)]
+    """`_row`'s two sums over the first `terms` values of ptilde_k from the
+    log-space `taylor`, apart from the recurrence `_row` reads, and the
+    delay's one term past them."""
+    law, lam, p, q = model.law, model.lam, model.p, 1 - model.rho
+    pk = [law.taylor(lam, k) * p**k * q ** (k - 1) for k in range(1, terms + 2)]
     series = sum(p * (k - 1) / (k + 1) for k, p in enumerate(pk[:-1], 1))
     if model.rho == 0.0:
         return series, 0.0
@@ -404,7 +404,7 @@ def pointwise_row(model, terms):
 
 class TestRecurrenceRow:
     """`_row` builds ptilde by the law's coefficient recurrence; the
-    pointwise `backbone_pmf` over the same terms gives the same row."""
+    log-space `taylor` over the same terms gives the same row."""
 
     @pytest.mark.parametrize("spec", ROW_LAWS, ids=lambda s: s if len(s) < 20 else "pmf20")
     def test_matches_pointwise_backbone_pmf(self, spec):
