@@ -186,7 +186,8 @@ def run(argv: list[str] | None = None, out=None) -> int:
     """Parse argv, run the command, write rows to `out` (default stdout).
 
     Exit codes: 0 success, 1 input error, 2 numerical failure (no
-    convergence, an overflow, or two routes to one quantity disagree).
+    convergence, an overflow, or two routes to one quantity disagree) or
+    a memory allocation that failed.
     """
     out = out if out is not None else sys.stdout
     parser = _build_parser()
@@ -208,6 +209,10 @@ def run(argv: list[str] | None = None, out=None) -> int:
     except OverflowError as exc:
         # PGF derivatives of a large-support law overflow a float
         print(f"numerical error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # a walk arena or a law's arrays larger than the process may map
+        print(f"memory error: {exc}", file=sys.stderr)
         return 2
     _emit(rows, args.format, out)
     return 0

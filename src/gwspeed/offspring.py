@@ -27,6 +27,8 @@ TAIL_MASS = 1e-13
 SUPPORT_CAP = 10**5
 # smallest normal float: a running product seeded below it has lost digits
 _TINY = sys.float_info.min
+# exp(x) is exactly 0.0 below this (by a margin of 0.3)
+_LOG_ZERO = math.log(math.ulp(0.0)) - 1.0
 
 
 class LawError(ValueError):
@@ -53,7 +55,8 @@ class OffspringLaw:
         return self._derivative(s, 0), self._derivative(s, 1)
 
     def pgf_array(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(f(s), f'(s)) elementwise on an array of points in [0, 1]."""
+        """(f(s), f'(s)) elementwise on an array of points in [0, 1], as two
+        new arrays that the caller may overwrite."""
         raise NotImplementedError
 
     def taylor(self, s: float, k: int) -> float:
@@ -136,6 +139,35 @@ def _underflow_start(log_term):
         k += 1
 
 
+def _binomial_underflow_start(n, scale, base, r):
+    """`_underflow_start` for scale C(n,k) base^n r^k, with log C(n,k) from
+    the exact integer: yield the terms below the smallest normal float;
+    return (k, value) at the first normal term, or (n+1, 0.0) if none is.
+
+    A float lgamma estimate marks the terms that are exactly 0.0 in a
+    double. math.comb runs once, at the first term that may not be, and
+    carries forward exactly as C(n,k+1) = C(n,k)(n-k)/(k+1): computing it
+    anew for every term of a long prefix takes minutes at n = 20000.
+    """
+    ls, nlb, lr = math.log(scale), n * math.log(base), math.log(r)
+    lg_n = math.lgamma(n + 1)
+    comb = None
+    for k in range(n + 1):
+        if comb is None:
+            est = ls + (lg_n - math.lgamma(k + 1) - math.lgamma(n - k + 1)) + nlb + k * lr
+            # the estimate is off by roundoff on terms as large as these
+            if est + 1e-12 * (abs(ls) + lg_n + abs(nlb) + k * abs(lr)) < _LOG_ZERO:
+                yield 0.0
+                continue
+            comb = math.comb(n, k)
+        t = math.exp(ls + math.log(comb) + nlb + k * lr)
+        if t >= _TINY:
+            return k, t
+        yield t
+        comb = comb * (n - k) // (k + 1)
+    return n + 1, 0.0
+
+
 @dataclass(frozen=True)
 class FinitePmf(OffspringLaw):
     """Law with finite support given by explicit weights (renormalized)."""
@@ -181,8 +213,10 @@ class FinitePmf(OffspringLaw):
         f = np.zeros_like(s)
         df = np.zeros_like(s)
         for w in reversed(self.weights):
-            df = df * s + f
-            f = f * s + w
+            df *= s
+            df += f
+            f *= s
+            f += w
         return f, df
 
     def taylor(self, s: float, k: int) -> float:
@@ -384,9 +418,9 @@ class Binomial(OffspringLaw):
         k, c0 = 0, base**n
         t = scale * c0
         if c0 < _TINY:
-            k, t = yield from _underflow_start(
-                lambda k: math.log(scale) + math.log(math.comb(n, k)) + n * math.log(base)
-                + k * math.log(r))
+            k, t = yield from _binomial_underflow_start(n, scale, base, r)
+            if k > n:
+                return
         while True:
             yield t
             if k == n:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .offspring import OffspringLaw, truncated_support
+from .offspring import Binomial, FinitePmf, Geometric, OffspringLaw, Poisson, truncated_support
 from .percolation import ModelError, PercolatedModel, _backbone_terms, bush_mean_size
 
 ROUTE_TOL = 1e-10
@@ -125,20 +125,80 @@ def cluster_speed_at(law: OffspringLaw, p: float) -> float:
     return cluster_speed(PercolatedModel(law, p))
 
 
+def _proved_monotone(law: OffspringLaw) -> bool:
+    """True when h(s) = (1-s) f'(s) / (1-f(s)) is nondecreasing on (0, 1)
+    by proof; False means only that no proof applies.
+
+    - Binomial(n, q): with b = 1-q+qs, h = n / sum_{j<n} b^-j, which
+      increases in b and hence in s.
+    - Poisson(mu): with t = mu(1-s), h = t/(e^t - 1), which decreases in t,
+      so h increases in s.
+    - Geometric(a): h = (1-a)/(1-as), which increases in s.
+    - A finite pmf with largest support d: 1 - f(s) = (1-s) sum_j P(X>j) s^j,
+      so h = A(s)/B(s) with A = sum a_j s^j, a_j = (j+1) p_{j+1}, and
+      B = sum b_j s^j, b_j = P(X>j) > 0 for j < d. Then
+      A'B - AB' = sum_{i<j} (j-i)(a_j b_i - a_i b_j) s^(i+j-1), so h is
+      nondecreasing if a_j/b_j is (Biernacki & Krzyz, Ann. UMCS A 9 (1955)).
+      The weights are dyadic, so scaled to a common power of two they are
+      integers and a_j b_{j+1} <= a_{j+1} b_j is decided exactly. The test
+      is sufficient, not necessary.
+
+    Any other law, a subclass of these included, has no proof here.
+    """
+    kind = type(law)
+    if kind in (Binomial, Poisson, Geometric):
+        return True
+    if kind is not FinitePmf:
+        return False
+    ratios = [w.as_integer_ratio() for w in law.weights[:law.max_support + 1]]
+    e = max(den for _, den in ratios).bit_length()
+    w = [num << (e - den.bit_length()) for num, den in ratios]  # p_j 2^(e-1)
+    # from j = d-1 down: b_j = b_{j+1} + w_{j+1}, a_j = (j+1) w_{j+1}
+    b_up, a_up = w[-1], (len(w) - 1) * w[-1]
+    for j in range(len(w) - 3, -1, -1):
+        b, a = b_up + w[j + 1], (j + 1) * w[j + 1]
+        if a * b_up > a_up * b:
+            return False
+        b_up, a_up = b, a
+    return True
+
+
+def _grid_worst(law: OffspringLaw) -> float:
+    """Most negative successive difference of h on CONDITION_GRID evenly
+    spaced points of (1/m, 1). Near s = 1 both numerator and denominator
+    vanish; h there is read off at s = 1-1e-6."""
+    lo = 1.0 / law.mean()
+    step = (1.0 - lo) / (CONDITION_GRID + 1)
+    s = np.arange(1, CONDITION_GRID + 1, dtype=float)
+    s *= step
+    s += lo
+    np.minimum(s, 1.0 - 1e-6, out=s)
+    f, df = law.pgf_array(s)
+    h = np.subtract(1.0, s, out=s)
+    h *= df
+    h /= np.subtract(1.0, f, out=f)
+    diff = np.subtract(h[1:], h[:-1], out=df[:-1])
+    return float(diff.min())
+
+
+def _condition(law: OffspringLaw, need_worst: bool) -> tuple[bool, float | None]:
+    """The one verdict on the condition: the law is proved, or else the grid
+    says yes. The grid runs only when the verdict or the caller needs it."""
+    if law.is_degenerate:
+        raise ModelError("degenerate law f(s) = s excluded from the condition check")
+    proved = _proved_monotone(law)
+    worst = _grid_worst(law) if need_worst or not proved else None
+    return proved or worst >= -CONDITION_SLACK, worst
+
+
 def check_condition(law: OffspringLaw) -> tuple[bool, float]:
     """Check h(s) = (1-s) f'(s) / (1-f(s)) is nondecreasing on (1/m, 1).
 
-    Returns (ok, most negative successive difference). Near s = 1 both
-    numerator and denominator vanish; h there is read off at s = 1-1e-6.
+    Returns (ok, most negative successive difference on the grid). `ok` is
+    the verdict every row reads: proved (see `_proved_monotone`), or else
+    the grid's difference within CONDITION_SLACK.
     """
-    if law.is_degenerate:
-        raise ModelError("degenerate law f(s) = s excluded from the condition check")
-    lo = 1.0 / law.mean()
-    step = (1.0 - lo) / (CONDITION_GRID + 1)
-    s = np.minimum(lo + np.arange(1, CONDITION_GRID + 1) * step, 1.0 - 1e-6)
-    f, df = law.pgf_array(s)
-    worst = float(np.min(np.diff((1.0 - s) * df / (1.0 - f))))
-    return worst >= -CONDITION_SLACK, worst
+    return _condition(law, need_worst=True)
 
 
 def pipes_speed(p: float) -> float:
@@ -165,7 +225,7 @@ def sweep(law: OffspringLaw, p_grid) -> list[SpeedCurvePoint]:
     ps = list(p_grid)
     if any(b <= a for a, b in zip(ps, ps[1:])):
         raise ValueError("p grid must be strictly increasing")
-    condition_ok, _ = check_condition(law)
+    condition_ok, _ = _condition(law, need_worst=False)
     rows = []
     for p in ps:
         model = PercolatedModel(law, p)

@@ -218,6 +218,34 @@ class TestErrors:
         assert text == ""
         assert capsys.readouterr().err.startswith("numerical error:")
 
+    def test_memory_error_exits_2(self, monkeypatch, capsys):
+        def out_of_memory(*_):
+            raise MemoryError("compiled walk arena")
+
+        monkeypatch.setattr("gwspeed.cli.estimate_speed", out_of_memory)
+        code, text = run_capture(["simulate", "--law", "pmf:0,0,1", "--p", "0.99"])
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err == "memory error: compiled walk arena\n"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs Linux RLIMIT_AS")
+    def test_arena_past_the_address_space_limit_exits_2(self):
+        # a 2e8-step walk outgrows a 600 MB address space; the child's own
+        # limit makes the allocation fail without using the memory
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))
+
+        env = dict(os.environ, PYTHONPATH=str(Path(gwspeed.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gwspeed.cli", "simulate", "--law", "pmf:0,0,1", "--p",
+             "0.99", "--horizon", "200000000", "--replicas", "2"],
+            env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("memory error:") and proc.stderr.count("\n") == 1
+
     @pytest.mark.parametrize("law", ["binomial:400,0.5", "poisson:200",
                                      "pmf:" + ",".join(["1"] * 200), "poisson:2000",
                                      "binomial:4000,0.5", "pmf:" + ",".join(["1"] * 1100)],
@@ -266,6 +294,21 @@ class TestErrors:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert proc.stdout == run_capture(["speed", "--law", "pmf:1,1,1,1", "--p", "0.9"])[1]
+
+
+class TestHostileLaws:
+    """Huge or near-degenerate parameters end fast with a row or a typed
+    error."""
+
+    @pytest.mark.parametrize("command", ["speed", "check-condition"])
+    @pytest.mark.parametrize("law", ["poisson:1e19", "poisson:1e300", "geometric:0.999999",
+                                     "binomial:100000,0.5",
+                                     "binomial:100000000000000000000,0.5"])
+    def test_ends_with_an_exit_code_not_a_traceback(self, command, law):
+        argv = [command, "--law", law] + (["--p", "0.9999"] if command == "speed" else [])
+        proc = run_process(argv, timeout=20)
+        assert proc.returncode in (0, 1, 2)
+        assert "Traceback" not in proc.stderr
 
 
 class TestParserReuse:

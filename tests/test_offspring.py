@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -301,6 +302,22 @@ class TestMaxSupport:
         assert law.__dict__["max_support"] == scan  # computed once, then read back
 
 
+class TestPgfArray:
+    @pytest.mark.parametrize("weights", [[0, 0, 1], [0.2, 0.3, 0.5],
+                                         [0.05, 0.1, 0.1, 0.1, 0.08, 0.08, 0.07, 0.06, 0.06,
+                                          0.05, 0.05, 0.04, 0.04, 0.03, 0.03, 0.02, 0.02,
+                                          0.01, 0.005, 0.005]])
+    def test_in_place_horner_is_bit_identical(self, weights):
+        law = FinitePmf(weights)
+        s = np.linspace(0.0, 1.0, 1001)
+        f = df = np.zeros_like(s)
+        for w in reversed(law.weights):
+            df = df * s + f
+            f = f * s + w
+        got_f, got_df = law.pgf_array(s)
+        assert np.array_equal(got_f, f) and np.array_equal(got_df, df)
+
+
 TERM_LAWS = {**PAIR_LAWS, "binomial:3,1": Binomial(3, 1.0)}
 
 
@@ -335,6 +352,47 @@ class TestTaylorTerms:
         assert all(math.isfinite(t) for t in terms)
         assert math.fsum(terms) == pytest.approx(1.0, abs=1e-12)
         assert math.fsum(k * t for k, t in enumerate(terms)) == pytest.approx(mean, rel=1e-12)
+
+    @pytest.mark.parametrize("n,q,s,x,scale", [
+        (4000, 0.5, 0.0, 1.0, 1.0), (4000, 0.5, 0.3, 0.6, 0.5), (3000, 0.3, 0.2, 0.3, 2.0)])
+    def test_binomial_underflow_prefix_matches_log_space(self, n, q, s, x, scale):
+        # every term below the first normal one is exp of the log-space
+        # formula with log C(n,k) from the exact integer, to the bit, and so
+        # is the first normal term; the formula runs here only from a few
+        # terms before the first that is not 0.0
+        base = 1 - q + q * s
+        r = q * x / base
+
+        def term(k):
+            return math.exp(math.log(scale) + math.log(math.comb(n, k)) + n * math.log(base)
+                            + k * math.log(r))
+
+        # the log terms rise up to the mode, so bisect for the last 0.0
+        lo, hi = 0, int((n * r - 1) / (1 + r))
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if term(mid) == 0.0 else (lo, mid)
+        first = lo - 2
+        prefix = [term(first)]
+        while prefix[-1] < sys.float_info.min:
+            prefix.append(term(first + len(prefix)))
+        got = list(itertools.islice(Binomial(n, q).taylor_terms(s, x, scale),
+                                    first + len(prefix)))
+        assert got[:first] == [0.0] * first
+        assert got[first:] == prefix
+        assert prefix[0] == 0.0 < prefix[-2] < sys.float_info.min
+
+    def test_binomial_prefix_stops_past_the_support(self):
+        # scale f(s + x) = 0.5 * 0.75^4000 underflows: every term is below
+        # the smallest normal float and the stream ends at k = n
+        terms = list(Binomial(4000, 0.5).taylor_terms(0.3, 0.2, 0.5))
+        assert len(terms) == 4001 and max(terms) < sys.float_info.min
+
+    def test_huge_binomial_prefix_is_zeros(self):
+        # C(n,k) 2^-n is 0.0 in a double for every k < SUPPORT_CAP here; the
+        # stream yields those zeros without computing C(n,k)
+        terms = Binomial(10**20, 0.5).taylor_terms(0.0, 1.0)
+        assert not any(itertools.islice(terms, 10**5))
 
     def test_underflowing_start_matches_log_space(self):
         # e^{-1000} underflows; the terms below the first normal one come

@@ -23,7 +23,13 @@ from gwspeed import (
 )
 from gwspeed.cli import run
 from gwspeed.percolation import backbone_pmf_iter, bush_mean_size
-from gwspeed.speed import CONDITION_GRID, CONDITION_SLACK, _backbone_speed_closed, _row
+from gwspeed.speed import (
+    CONDITION_GRID,
+    CONDITION_SLACK,
+    _backbone_speed_closed,
+    _proved_monotone,
+    _row,
+)
 
 BINARY = FinitePmf([0, 0, 1])
 
@@ -61,6 +67,15 @@ def check_condition_reference(law, grid_size):
     values = [h(lo + (i + 1) * step) for i in range(grid_size)]
     worst = min(b - a for a, b in zip(values, values[1:]))
     return worst >= -CONDITION_SLACK, worst
+
+
+def grid_reference(law):
+    """check_condition's grid points and h values, built out of place."""
+    lo = 1.0 / law.mean()
+    s = np.minimum(lo + np.arange(1, CONDITION_GRID + 1) * ((1.0 - lo) / (CONDITION_GRID + 1)),
+                   1.0 - 1e-6)
+    f, df = law.pgf_array(s)
+    return s, (1.0 - s) * df / (1.0 - f)
 
 
 # frozen pre-build grid search on the closed form, step 1e-4 over (0.5, 1)
@@ -195,9 +210,114 @@ class TestCheckCondition:
         if grid_size == CONDITION_GRID:
             assert abs(worst - ref_worst) <= 1e-12
 
+    @pytest.mark.parametrize("name", sorted(CONDITION_LAWS))
+    def test_in_place_grid_is_bit_identical(self, name):
+        law = CONDITION_LAWS[name]
+        assert check_condition(law)[1] == float(np.min(np.diff(grid_reference(law)[1])))
+
     def test_rejects_degenerate(self):
         with pytest.raises(ModelError):
             check_condition(FinitePmf([0, 1]))
+
+
+def proof_check_laws():
+    """theorem_laws(), 1,000 seeded sparse and Dirichlet pmfs on {0, ..., K},
+    K = 2..24, and each parametric family over its parameter; all with mean
+    at least 1.05, away from the criticality where the grid's roundoff
+    outgrows CONDITION_SLACK."""
+    laws = theorem_laws()
+    laws += [Poisson(float(mu)) for mu in np.geomspace(1.05, 1e6, 25)]
+    laws += [Geometric(float(a)) for a in np.linspace(0.52, 0.999, 25)]
+    laws += [Binomial(n, float(q)) for n in (2, 3, 10, 40, 400, 4000)
+             for q in np.linspace(1.05 / n, 1.0, 6)]
+    rng = np.random.default_rng(14)
+    pmfs = 0
+    while pmfs < 1000:
+        k = int(rng.integers(3, 26))
+        if pmfs % 2:
+            w = rng.dirichlet(np.full(k, rng.uniform(0.2, 3.0)))
+        else:
+            w = np.where(rng.random(k) < rng.uniform(0.15, 0.6), rng.random(k), 0.0)
+        if w.sum() > 0:
+            law = FinitePmf(w.tolist())
+            if law.mean() >= 1.05:
+                laws.append(law)
+                pmfs += 1
+    return laws
+
+
+class TestConditionProof:
+    def test_proved_implies_grid_and_verdict_is_the_grids(self):
+        proved = unproved_yes = 0
+        for law in proof_check_laws():
+            ok, worst = check_condition(law)
+            grid_ok = worst >= -CONDITION_SLACK
+            if _proved_monotone(law):
+                proved += 1
+                assert grid_ok, law
+            elif grid_ok:
+                unproved_yes += 1
+            assert ok == grid_ok, law
+        # the ratio test proves many pmfs, but not every one the grid passes
+        assert proved >= 200 and unproved_yes >= 200
+
+    @pytest.mark.parametrize("spec", [
+        "pmf:0,0,1", "poisson:2", "geometric:0.6667", "binomial:3,0.8", "binomial:40,0.1",
+        "pmf:0.05,0.1,0.1,0.1,0.08,0.08,0.07,0.06,0.06,0.05,0.05,0.04,0.04,0.03,0.03,"
+        "0.02,0.02,0.01,0.005,0.005"])
+    def test_sweep_on_proved_law_skips_the_grid(self, spec, monkeypatch):
+        law = parse_law(spec)
+        expected = sweep(law, [0.9, 0.95])
+
+        def no_grid(self, s):
+            raise AssertionError("grid evaluated for a proved law")
+
+        monkeypatch.setattr(type(law), "pgf_array", no_grid)
+        assert _proved_monotone(law)
+        rows = sweep(law, [0.9, 0.95])
+        assert rows == expected and all(r.condition_ok for r in rows)
+
+    def test_unproved_pmf_reads_the_grid(self, monkeypatch):
+        law = parse_law("pmf:0.4,0.1,0,0,0,0,0,0,0,0,0.5")
+        calls = []
+        grid = FinitePmf.pgf_array
+        monkeypatch.setattr(FinitePmf, "pgf_array",
+                            lambda self, s: calls.append(s.size) or grid(self, s))
+        assert not _proved_monotone(law)
+        rows = sweep(law, [0.5, 0.9])
+        assert calls == [CONDITION_GRID]
+        assert not any(r.condition_ok for r in rows)
+        assert check_condition(law)[0] is False
+
+    @pytest.mark.parametrize("p3,proved", [(0.0625, True), (np.nextafter(0.0625, 1), True),
+                                           (np.nextafter(0.0625, 0), False)],
+                             ids=["tie", "ulp-above", "ulp-below"])
+    def test_ratio_test_is_exact_at_a_tie(self, p3, proved):
+        # a_j/b_j = (j+1) p_{j+1} / P(X>j) reads 0, 3/2, 3/2, 4: a tie at
+        # j = 1, 2, which p_3 one ulp lower breaks downwards
+        assert _proved_monotone(FinitePmf([0.5, 0.0, 0.375, p3, 0.0625])) is proved
+
+    def test_other_subclass_is_not_proved(self):
+        class Shifted(Poisson):
+            pass
+
+        assert _proved_monotone(Poisson(2.0)) and not _proved_monotone(Shifted(2.0))
+
+    def test_near_critical_binomial_is_proved_where_the_grid_rounds_below(self):
+        # m = 1.004: the grid's most negative difference is roundoff past
+        # CONDITION_SLACK; h at the two points, to 50 digits, does not fall
+        law = Binomial(4000, 0.000251)
+        ok, worst = check_condition(law)
+        assert worst < -CONDITION_SLACK and ok
+        assert sweep(law, [1.0])[0].condition_ok
+        s, h_grid = grid_reference(law)
+        i = int(np.argmin(np.diff(h_grid)))
+        with mpmath.workdps(50):
+            def h(x):
+                b = 1 - mpmath.mpf(law.q) + mpmath.mpf(law.q) * mpmath.mpf(x)
+                return (1 - mpmath.mpf(x)) * law.n * law.q * b ** (law.n - 1) / (1 - b**law.n)
+
+            assert h(s[i + 1]) >= h(s[i])
 
 
 def theorem_laws():
