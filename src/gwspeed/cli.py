@@ -14,7 +14,7 @@ import functools
 import json
 import sys
 
-from .offspring import LawError, parse_law
+from .offspring import LawError, SupportCapError, parse_law
 from .percolation import ConvergenceError, ModelError, PercolatedModel, rho_derivative
 from .simulate import SimulationError, estimate_speed, simulate_pipes
 from .speed import InternalInconsistency, check_condition, cluster_speed, pipes_speed, sweep
@@ -186,8 +186,8 @@ def run(argv: list[str] | None = None, out=None) -> int:
     """Parse argv, run the command, write rows to `out` (default stdout).
 
     Exit codes: 0 success, 1 input error, 2 numerical failure (no
-    convergence, an overflow, or two routes to one quantity disagree) or
-    a memory allocation that failed.
+    convergence, an overflow, a law's mass past SUPPORT_CAP terms, or two
+    routes to one quantity disagree) or a memory allocation that failed.
     """
     out = out if out is not None else sys.stdout
     parser = _build_parser()
@@ -206,8 +206,8 @@ def run(argv: list[str] | None = None, out=None) -> int:
     except InternalInconsistency as exc:
         print(f"internal inconsistency error: {exc}", file=sys.stderr)
         return 2
-    except OverflowError as exc:
-        # PGF derivatives of a large-support law overflow a float
+    except (OverflowError, SupportCapError) as exc:
+        # a float overflowed, or a law's mass lies past the terms a series reads
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

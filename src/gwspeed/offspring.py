@@ -1,19 +1,20 @@
 """Offspring distributions for branching processes.
 
 Four families are supported: a finite pmf, geometric, Poisson and
-binomial. Each law knows its probability generating function (PGF)
-f(s) = sum_k p_k s^k together with closed-form derivatives of every
-order, its Taylor coefficients f^(k)(s)/k! (in log space for the three
-parametric families), its mean, its pointwise pmf, and an exact sampler
-driven by a caller-supplied numpy Generator. Whole series of coefficients
-come from `taylor_terms`, one running product per term: each parametric
-family multiplies by its ratio c_{k+1}/c_k, and a finite pmf takes a
-Taylor shift.
+binomial. Each law gives its probability generating function (PGF)
+f(s) = sum_k p_k s^k by two routes: `_pgf_pair` returns (f, f') at a
+point, for the Newton solve of rho and the mean, and `taylor_terms`
+yields the whole series of Taylor coefficients c_k(s) = f^(k)(s)/k!,
+one running product per term: each parametric family multiplies by its
+ratio c_{k+1}/c_k, and a finite pmf takes a Taylor shift. The pmf and
+the derivatives of order 2 and up are read off that series. Each law
+also has an exact sampler driven by a caller-supplied numpy Generator.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -25,6 +26,8 @@ PROB_ATOL = 1e-12
 # truncation policy for infinite-support sums
 TAIL_MASS = 1e-13
 SUPPORT_CAP = 10**5
+# a float sum of SUPPORT_CAP probabilities may miss their total by this much
+_CAP_ROUNDOFF = SUPPORT_CAP * sys.float_info.epsilon
 # smallest normal float: a running product seeded below it has lost digits
 _TINY = sys.float_info.min
 # exp(x) is exactly 0.0 below this (by a margin of 0.3)
@@ -35,33 +38,43 @@ class LawError(ValueError):
     """Invalid offspring-law parameters or malformed law spec."""
 
 
+class SupportCapError(ArithmeticError):
+    """A law's mass lies past the first SUPPORT_CAP terms of its series."""
+
+
 @dataclass(frozen=True)
 class OffspringLaw:
     """Base class; concrete families implement the PGF and sampler."""
 
     def pgf_derivative(self, s: float, order: int = 0) -> float:
-        """f^(order)(s) for s in [0, 1]; order 0 is f(s) itself."""
+        """f^(order)(s) for s in [0, 1]; order 0 is f(s) itself. Orders 0 and
+        1 come from `_pgf_pair`, higher ones are order! c_order(s) from
+        `taylor_terms`, exactly 0 past a finite support. Raises
+        OverflowError where f^(order)(s) exceeds the largest float."""
         if not 0.0 <= s <= 1.0:
             raise LawError(f"PGF argument s={s} outside [0, 1]")
         if order < 0:
             raise LawError(f"derivative order must be >= 0, got {order}")
-        return self._derivative(float(s), int(order))
-
-    def _derivative(self, s: float, order: int) -> float:
-        raise NotImplementedError
+        s, order = float(s), int(order)
+        if order <= 1:
+            return self._pgf_pair(s)[order]
+        c = _term(self.taylor_terms(s, 1.0), order)
+        if not c:
+            return 0.0  # order! may not fit a float
+        d = math.factorial(order) * c
+        if d == math.inf:
+            raise OverflowError(f"f^({order})({s}) exceeds the largest float")
+        return d
 
     def _pgf_pair(self, s: float) -> tuple[float, float]:
-        """(f(s), f'(s)) unchecked, with the arithmetic of `_derivative`."""
-        return self._derivative(s, 0), self._derivative(s, 1)
+        """(f(s), f'(s)) at one point of [0, 1], unchecked."""
+        raise NotImplementedError
 
     def pgf_array(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(f(s), f'(s)) elementwise on an array of points in [0, 1], as two
-        new arrays that the caller may overwrite."""
-        raise NotImplementedError
-
-    def taylor(self, s: float, k: int) -> float:
-        """f^(k)(s)/k!, the k-th Taylor coefficient of f at s in [0, 1]."""
-        raise NotImplementedError
+        new arrays that the caller may overwrite: `_pgf_pair`'s own body,
+        unless a family's scalar arithmetic does not serve arrays."""
+        return self._pgf_pair(s)
 
     def taylor_terms(self, s: float, x: float, scale: float = 1.0):
         """Yield scale * c_k(s) x^k for k = 0, 1, ..., with c_k = f^(k)/k!:
@@ -73,8 +86,8 @@ class OffspringLaw:
         raise NotImplementedError
 
     def pmf(self, k: int) -> float:
-        """p_k = f^(k)(0)/k!."""
-        return self.taylor(0.0, k) if k >= 0 else 0.0
+        """p_k = f^(k)(0)/k!, the k-th term of `taylor_terms(0, 1)`."""
+        return _term(self.taylor_terms(0.0, 1.0), k) if k >= 0 else 0.0
 
     def mean(self) -> float:
         """m = f'(1), the mean number of offspring."""
@@ -112,7 +125,9 @@ def truncated_support(terms, start: int, cap: int | None):
     """Yield (k, p_k) for k = start, start+1, ... from the iterable `terms`
     of p_start, p_start+1, ..., up to the law's `cap` = max_support, or,
     with infinite support, until all but TAIL_MASS of the mass is covered;
-    never past SUPPORT_CAP. It takes no term past the last one it yields."""
+    never past SUPPORT_CAP. It takes no term past the last one it yields.
+    Raises SupportCapError if it stops at SUPPORT_CAP with more than
+    roundoff of the mass unread."""
     cum = 0.0
     for k, pk in enumerate(terms, start):
         yield k, pk
@@ -123,7 +138,16 @@ def truncated_support(terms, start: int, cap: int | None):
         elif 1.0 - cum < TAIL_MASS or (pk < 1e-17 and cum > 0.5):
             return  # roundoff may keep cum short of 1; such terms are negligible
         if k >= SUPPORT_CAP:
+            if 1.0 - cum > _CAP_ROUNDOFF:
+                raise SupportCapError(
+                    f"mass {1.0 - cum:.3g} of the law lies past its first "
+                    f"SUPPORT_CAP = {SUPPORT_CAP} terms")
             return
+
+
+def _term(terms, k: int) -> float:
+    """The k-th item of `terms`, or 0 past its end (a finite support)."""
+    return next(itertools.islice(terms, k, None), 0.0)
 
 
 def _underflow_start(log_term):
@@ -191,13 +215,6 @@ class FinitePmf(OffspringLaw):
             total = float(w.sum())
         object.__setattr__(self, "weights", tuple(float(x) for x in w / total))
 
-    def _derivative(self, s: float, order: int) -> float:
-        # f^(r)(s) = sum_{k>=r} p_k k!/(k-r)! s^{k-r}; exactly 0 past support
-        total = 0.0
-        for k in range(order, len(self.weights)):
-            total += self.weights[k] * math.perm(k, order) * s ** (k - order)
-        return total
-
     def _pgf_pair(self, s: float) -> tuple[float, float]:
         f = df = below = 0.0  # below = s^(k-1)
         for k, w in enumerate(self.weights):
@@ -209,7 +226,8 @@ class FinitePmf(OffspringLaw):
         return f, df
 
     def pgf_array(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # Horner for f and, one step behind it, for f'
+        # Horner for f and, one step behind it, for f'. `_pgf_pair` keeps its
+        # power sums: their roundoff fixes the bits of rho, which Horner's would change
         f = np.zeros_like(s)
         df = np.zeros_like(s)
         for w in reversed(self.weights):
@@ -218,24 +236,6 @@ class FinitePmf(OffspringLaw):
             f *= s
             f += w
         return f, df
-
-    def taylor(self, s: float, k: int) -> float:
-        # sum_{j>=k} p_j C(j,k) s^{j-k} by Horner in exact integers, rounded
-        # once: C(j,k) outgrows a float past about 1030 weights, where the
-        # sum may not; exactly 0 past support
-        ratios = [w.as_integer_ratio() for w in self.weights[k:]]
-        if not ratios:
-            return 0.0
-        num, den = float(s).as_integer_ratio()
-        b = den.bit_length() - 1  # s = num / 2^b, and p_j = n_j / d_j with d_j | 2^e
-        e = max(d for _, d in ratios).bit_length() - 1
-        top = len(ratios) - 1
-        acc = 0
-        for i in range(top, -1, -1):
-            n_j, d_j = ratios[i]
-            acc = acc * num + (n_j * math.comb(k + i, k) << (e - d_j.bit_length() + 1
-                                                             + b * (top - i)))
-        return acc / (1 << (e + b * top))
 
     def taylor_terms(self, s: float, x: float, scale: float = 1.0):
         # Horner in t: multiply the running polynomial by (s + x t) and add
@@ -287,23 +287,10 @@ class Geometric(OffspringLaw):
         if not 0.0 < self.a < 1.0:
             raise LawError(f"geometric parameter a={self.a} not in (0, 1)")
 
-    def _derivative(self, s: float, order: int) -> float:
-        a = self.a
-        return math.factorial(order) * a**order * (1 - a) / (1 - a * s) ** (order + 1)
-
     def _pgf_pair(self, s: float) -> tuple[float, float]:
         a = self.a
         d = 1 - a * s
         return (1 - a) / d, a * (1 - a) / d**2
-
-    def pgf_array(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        a = self.a
-        d = 1 - a * s
-        return (1 - a) / d, a * (1 - a) / d**2
-
-    def taylor(self, s: float, k: int) -> float:
-        a = self.a
-        return math.exp(k * math.log(a) + math.log1p(-a) - (k + 1) * math.log1p(-a * s))
 
     def taylor_terms(self, s: float, x: float, scale: float = 1.0):
         # c_{k+1}/c_k = a/(1-as); c_0 >= 1-a needs no underflow guard
@@ -332,20 +319,14 @@ class Poisson(OffspringLaw):
         if not 0.0 < self.mu < math.inf:
             raise LawError(f"poisson parameter mu={self.mu} must be positive and finite")
 
-    def _derivative(self, s: float, order: int) -> float:
-        return self.mu**order * math.exp(self.mu * (s - 1.0))
-
     def _pgf_pair(self, s: float) -> tuple[float, float]:
         f = math.exp(self.mu * (s - 1.0))
         return f, self.mu * f
 
     def pgf_array(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # np.exp here, not in `_pgf_pair`: on a float it would slow every Newton step
         f = np.exp(self.mu * (s - 1.0))
         return f, self.mu * f
-
-    def taylor(self, s: float, k: int) -> float:
-        mu = self.mu
-        return math.exp(k * math.log(mu) + mu * (s - 1.0) - math.lgamma(k + 1))
 
     def taylor_terms(self, s: float, x: float, scale: float = 1.0):
         # c_{k+1}/c_k = mu/(k+1), from c_0 = e^{mu(s-1)}
@@ -381,30 +362,10 @@ class Binomial(OffspringLaw):
         if not 0.0 < self.q <= 1.0:
             raise LawError(f"binomial q={self.q} not in (0, 1]")
 
-    def _derivative(self, s: float, order: int) -> float:
-        if order > self.n:
-            return 0.0
-        base = 1.0 - self.q + self.q * s
-        return math.perm(self.n, order) * self.q**order * base ** (self.n - order)
-
     def _pgf_pair(self, s: float) -> tuple[float, float]:
         n = self.n
         base = 1.0 - self.q + self.q * s
         return base**n, n * self.q * base ** (n - 1)
-
-    def pgf_array(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n, q = self.n, self.q
-        base = 1.0 - q + q * s
-        return base**n, n * q * base ** (n - 1)
-
-    def taylor(self, s: float, k: int) -> float:
-        n, q = self.n, self.q
-        base = 1.0 - q + q * s
-        if k > n or base == 0.0:  # base is 0 only for q = 1 at s = 0: all mass on n
-            return float(k == n)
-        # log C(n,k) from the exact integer; lgamma differences lose n log n ulps
-        return math.exp(math.log(math.comb(n, k)) + k * math.log(q)
-                        + (n - k) * math.log(base))
 
     def taylor_terms(self, s: float, x: float, scale: float = 1.0):
         # c_{k+1}/c_k = (n-k)/(k+1) q/(1-q+qs), from c_0 = (1-q+qs)^n

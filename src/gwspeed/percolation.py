@@ -9,11 +9,10 @@ excursion count N(p, k).
 
 from __future__ import annotations
 
-import itertools
 import sys
 from dataclasses import dataclass, field
 
-from .offspring import OffspringLaw, truncated_support
+from .offspring import OffspringLaw, _term, truncated_support
 
 # rho tolerance: Newton stops at a step of at most TOL/100 and the root
 # must satisfy |rho - f(lambda)| <= 10 TOL
@@ -185,11 +184,6 @@ def mean_excursions(model: PercolatedModel, k: int) -> float:
         # is an underflow too
         raise ModelError(f"ptilde_{k + 1} = {nxt!r} is below the smallest normal float")
     return model.rho * nxt / ((1.0 - model.rho) * pk)
-
-
-def _term(terms, k: int) -> float:
-    """The k-th item of `terms`, or 0 past its end (a finite support)."""
-    return next(itertools.islice(terms, k, None), 0.0)
 
 
 # The pointwise functions above and the iterators build each law by the

@@ -167,7 +167,10 @@ def _grid_worst(law: OffspringLaw) -> float:
     """Most negative successive difference of h on CONDITION_GRID evenly
     spaced points of (1/m, 1). Near s = 1 both numerator and denominator
     vanish; h there is read off at s = 1-1e-6."""
-    lo = 1.0 / law.mean()
+    m = law.mean()
+    if m == 0.0:
+        raise ModelError("law mean 0: the condition's interval (1/m, 1) is undefined")
+    lo = 1.0 / m
     step = (1.0 - lo) / (CONDITION_GRID + 1)
     s = np.arange(1, CONDITION_GRID + 1, dtype=float)
     s *= step

@@ -279,6 +279,9 @@ class TestErrors:
         ["check-condition", "--law", "poisson:1e400"],
         ["speed", "--law", "pmf:inf,1", "--p", "0.9"],
         ["rho", "--law", "poisson:nan", "--p", "0.9"],
+        # mean 0: 1/m, an end of the condition's interval, is not finite
+        ["check-condition", "--law", "pmf:1"],
+        ["check-condition", "--law", "pmf:1,0"],
     ], ids=lambda argv: argv[2])
     def test_non_finite_law_parameter_is_input_error(self, argv):
         proc = run_process(argv)
@@ -309,6 +312,36 @@ class TestHostileLaws:
         proc = run_process(argv, timeout=20)
         assert proc.returncode in (0, 1, 2)
         assert "Traceback" not in proc.stderr
+
+
+class TestSupportCap:
+    """A series reads at most SUPPORT_CAP terms of a law."""
+
+    @pytest.mark.parametrize("law,p", [("poisson:1e19", "0.5"), ("geometric:0.999999", "0.9999"),
+                                       ("binomial:1000000,0.5", "0.5"),
+                                       ("binomial:200000,0.5", "0.5"),
+                                       ("binomial:200000,0.5", "0.9999")])
+    def test_mass_past_the_cap_is_a_numerical_error(self, law, p):
+        proc = run_process(["speed", "--law", law, "--p", p], timeout=20)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("numerical error: ")
+        assert "SUPPORT_CAP" in proc.stderr and len(proc.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv,row", [
+        (["speed", "--law", "binomial:100000,0.5", "--p", "0.9999"],
+         "0.9999,0,0.0001,0.999959996396,0.999959996396,0,true"),
+        (["speed", "--law", "poisson:2000", "--p", "0.9"],
+         "0.9,0,0.1,0.998888888889,0.998888888889,0,true"),
+        # support past the cap, mass within it: the series stops at the cap
+        (["speed", "--law", "binomial:200000,0.01", "--p", "0.9"],
+         "0.9,0,0.1,0.998888894443,0.998888894443,0,true"),
+        (["rho", "--law", "poisson:1e19", "--p", "0.5"], "0.5,0,0.5,-0"),
+    ], ids=["binomial:100000,0.5", "poisson:2000", "binomial:200000,0.01", "rho-poisson:1e19"])
+    def test_rows_within_the_cap_unchanged(self, argv, row):
+        code, text = run_capture(argv)
+        assert code == 0
+        assert text.splitlines()[1] == row
 
 
 class TestParserReuse:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from oracles import exact_taylor, mp_taylor
 
 from gwspeed import (
     Binomial,
@@ -15,6 +16,7 @@ from gwspeed import (
     Poisson,
     parse_law,
 )
+from gwspeed.offspring import SUPPORT_CAP, SupportCapError, truncated_support
 
 LAWS = {
     "binary": FinitePmf([0, 0, 1]),
@@ -24,6 +26,11 @@ LAWS = {
 }
 
 S_GRID = np.linspace(0.0, 1.0, 21)
+
+PMF20 = parse_law("pmf:0.05,0.1,0.1,0.1,0.08,0.08,0.07,0.06,0.06,0.05,0.05,0.04,0.04,"
+                  "0.03,0.03,0.02,0.02,0.01,0.005,0.005")
+PAIR_LAWS = {**LAWS, "binomial:40,0.1": Binomial(40, 0.1), "pmf20": PMF20,
+             "geometric:0.9": Geometric(0.9), "poisson:1.3": Poisson(1.3)}
 
 
 class TestParseLaw:
@@ -82,6 +89,13 @@ class TestPgfDerivative:
     def test_finite_pmf_order_past_support_is_zero(self):
         assert LAWS["binary"].pgf_derivative(0.7, 3) == 0.0
         assert LAWS["binomial"].pgf_derivative(0.7, 4) == 0.0
+
+    def test_overflow_is_an_overflow_error(self):
+        # Poisson(200): f^(150)(1) = 200^150, and 400! does not fit a float
+        with pytest.raises(OverflowError):
+            Poisson(200.0).pgf_derivative(1.0, 150)
+        with pytest.raises(OverflowError):
+            Poisson(200.0).pgf_derivative(0.5, 400)
 
     def test_domain_errors(self):
         with pytest.raises(LawError):
@@ -189,44 +203,68 @@ def test_law_is_immutable():
         LAWS["poisson"].mu = 3.0
 
 
+def close(got, exact, rel, abs_=0.0):
+    """|got - exact| <= rel |exact| + abs_ against a reference number, and
+    got exactly 0.0 where the reference is exactly 0."""
+    if exact == 0:
+        return got == 0.0
+    return abs(got - exact) <= rel * abs(exact) + abs_
+
+
 class TestTaylor:
-    @pytest.mark.parametrize("name", sorted(LAWS))
+    """f^(k)(s) and c_k(s) = f^(k)(s)/k! against the references of
+    `oracles`: closed forms at 50 digits, exact sums for a pmf."""
+
+    @pytest.mark.parametrize("name", sorted(PAIR_LAWS))
     @pytest.mark.parametrize("s", [0.0, 0.3, 0.75, 1.0])
     def test_matches_derivative_over_factorial(self, name, s):
-        law = LAWS[name]
-        for k in range(8):
-            expected = law.pgf_derivative(s, k) / math.factorial(k)
-            assert law.taylor(s, k) == pytest.approx(expected, rel=1e-13, abs=1e-300)
+        # pgf_derivative reads `_pgf_pair` for orders 0 and 1 and the
+        # coefficient stream above; both routes, orders 0 to 8
+        law = PAIR_LAWS[name]
+        terms = law.taylor_terms(s, 1.0)
+        for k in range(9):
+            exact = mp_taylor(law, s, k)
+            assert close(law.pgf_derivative(s, k), exact * math.factorial(k), 1e-13), k
+            assert close(next(terms, 0.0), exact, 1e-13), k
 
     @pytest.mark.parametrize("name", sorted(LAWS))
     def test_pmf_is_taylor_at_zero(self, name):
+        # the stream's running product: up to k roundings off the exact p_k
         law = LAWS[name]
         for k in range(8):
-            assert law.pmf(k) == pytest.approx(law.taylor(0.0, k), rel=1e-15, abs=1e-300)
+            assert close(law.pmf(k), mp_taylor(law, 0.0, k), 1e-14), k
         assert law.pmf(-1) == 0.0
 
     def test_zero_past_finite_support(self):
-        assert FinitePmf([0, 0.5, 0.5]).taylor(0.4, 3) == 0.0
-        assert Binomial(3, 0.8).taylor(0.4, 4) == 0.0
+        assert FinitePmf([0, 0.5, 0.5]).pgf_derivative(0.4, 3) == 0.0
+        assert Binomial(3, 0.8).pgf_derivative(0.4, 4) == 0.0
+        assert FinitePmf([0, 0.5, 0.5]).pmf(3) == Binomial(3, 0.8).pmf(4) == 0.0
+        # k! does not fit a float; the derivative is still exactly 0
+        assert Binomial(3, 0.8).pgf_derivative(0.4, 200) == 0.0
 
     def test_binomial_full_retention_at_zero(self):
         # q = 1: 1 - q + q s vanishes at s = 0 and all mass sits on n
         law = Binomial(3, 1.0)
-        assert [law.taylor(0.0, k) for k in range(5)] == [0.0, 0.0, 0.0, 1.0, 0.0]
+        assert [law.pmf(k) for k in range(5)] == [0.0, 0.0, 0.0, 1.0, 0.0]
+        assert [law.pgf_derivative(0.0, k) for k in range(5)] == [0.0, 0.0, 0.0, 6.0, 0.0]
 
     @pytest.mark.parametrize("law,k", [(Poisson(200.0), 400), (Binomial(400, 0.5), 200),
                                        (Geometric(0.9), 500),
                                        (FinitePmf([1.0] * 200), 100)])
     def test_high_orders_stay_finite(self, law, k):
-        # f^(k)(s) itself overflows a float here; f^(k)(s)/k! does not
-        value = law.taylor(0.5, k)
+        # deep in the series, where f^(k)(s) overflows a float or nearly
+        # does; the stream's term c_k(s) x^k with s + x = 1 stays finite
+        value = next(itertools.islice(law.taylor_terms(0.5, 0.5), k, None))
         assert 0.0 < value < math.inf
+        with mpmath.workdps(50):
+            assert close(value, mp_taylor(law, 0.5, k) * mpmath.mpf(0.5) ** k, 1e-13)
 
     def test_binomial_coefficient_exact_for_large_n(self):
-        # log C(n, k) from the exact integer; at s = 1 the coefficient is C(n,k) q^k
+        # at s = 1 the coefficient is C(n,k) q^k, by 200 ratio steps
         law = Binomial(400, 0.5)
         expected = math.comb(400, 200) / 2**200
-        assert law.taylor(1.0, 200) == pytest.approx(expected, rel=1e-13)
+        value = next(itertools.islice(law.taylor_terms(1.0, 1.0), 200, None))
+        assert value == pytest.approx(expected, rel=1e-13)
 
 
 class TestNonFiniteParameters:
@@ -245,12 +283,6 @@ class TestNonFiniteParameters:
         assert FinitePmf(w).weights == tuple(w / w.sum())
 
 
-PMF20 = parse_law("pmf:0.05,0.1,0.1,0.1,0.08,0.08,0.07,0.06,0.06,0.05,0.05,0.04,0.04,"
-                  "0.03,0.03,0.02,0.02,0.01,0.005,0.005")
-PAIR_LAWS = {**LAWS, "binomial:40,0.1": Binomial(40, 0.1), "pmf20": PMF20,
-             "geometric:0.9": Geometric(0.9), "poisson:1.3": Poisson(1.3)}
-
-
 class TestPgfPair:
     @pytest.mark.parametrize("name", sorted(PAIR_LAWS))
     def test_bit_identical_to_two_derivative_calls(self, name):
@@ -260,37 +292,53 @@ class TestPgfPair:
             assert law._pgf_pair(s) == (law.pgf_derivative(s, 0), law.pgf_derivative(s, 1))
 
 
-def exact_taylor(law, s, k):
-    """f^(k)(s)/k! of a finite pmf in exact rational arithmetic."""
-    s = Fraction(s)
-    return sum(Fraction(w) * math.comb(j, k) * s ** (j - k)
-               for j, w in enumerate(law.weights) if j >= k)
-
-
 class TestFinitePmfTaylor:
-    """`FinitePmf.taylor` sums in exact integers and rounds once."""
+    """`FinitePmf.taylor_terms`, a Taylor shift by Horner in t, against the
+    exact rational sums."""
 
     @pytest.mark.parametrize("s,k", [(0.5, 0), (0.5, 1), (0.5, 550), (0.5, 1099),
                                      (0.3, 900), (0.9, 700)])
     def test_1100_weights_are_finite_and_exact(self, s, k):
-        # C(j, k) does not fit a float past about j = 1030; the sum does
+        # C(j, k) does not fit a float past about j = 1030; with s + x = 1
+        # the terms do. Term 1099 at s = 0.5 and term 700 at s = 0.9 are
+        # below 1e-300 and underflow: they meet an absolute bound
         law = FinitePmf([1.0] * 1100)
-        value = law.taylor(s, k)
-        assert math.isfinite(value)
-        assert value == float(exact_taylor(law, s, k))
+        x = 1.0 - s
+        for scale in (1.0, 3.0):
+            value = next(itertools.islice(law.taylor_terms(s, x, scale), k, None))
+            assert math.isfinite(value)
+            exact = scale * exact_taylor(law, s, k) * Fraction(x) ** k
+            assert close(value, exact, 1e-13, 1e-300 * scale)
 
-    def test_small_laws_correctly_rounded(self):
+    def test_small_laws_match_exact_sums(self):
+        # a few roundings per term: the shift adds positive terms only
         rng = np.random.default_rng(7)
         for _ in range(20):
             law = FinitePmf(rng.dirichlet(np.ones(rng.integers(2, 12))).tolist())
             for s in (0.0, float(rng.uniform()), 1.0):
+                terms = law.taylor_terms(s, 1.0)
                 for k in range(len(law.weights) + 1):
-                    assert law.taylor(s, k) == float(exact_taylor(law, s, k))
+                    assert close(next(terms, 0.0), exact_taylor(law, s, k), 1e-14)
 
-    def test_overflow_is_an_overflow_error(self):
-        # c_550(1) = C(1100, 551)/1100 exceeds the largest float
-        with pytest.raises(OverflowError):
-            FinitePmf([1.0] * 1100).taylor(1.0, 550)
+
+class TestTruncatedSupport:
+    """A series stops at SUPPORT_CAP terms; it raises only when more than
+    roundoff of its mass is still unread."""
+
+    N = SUPPORT_CAP + 1
+
+    @pytest.mark.parametrize("cap", [None, 2 * SUPPORT_CAP])
+    def test_stops_at_the_cap_within_roundoff(self, cap):
+        # N terms of 1/N sum to 1, but their running float sum falls short
+        # of 1 by 2.7e-12, more than TAIL_MASS
+        terms = [1.0 / self.N] * self.N + [0.0] * 10
+        assert list(truncated_support(terms, 0, cap))[-1] == (SUPPORT_CAP, 1.0 / self.N)
+
+    @pytest.mark.parametrize("cap", [None, 2 * SUPPORT_CAP])
+    def test_mass_past_the_cap_raises(self, cap):
+        terms = [0.5 / self.N] * 2 * self.N
+        with pytest.raises(SupportCapError, match="mass 0.5 .* SUPPORT_CAP"):
+            list(truncated_support(terms, 0, cap))
 
 
 class TestMaxSupport:
@@ -328,12 +376,13 @@ class TestTaylorTerms:
     @pytest.mark.parametrize("s,x,scale", [(0.0, 1.0, 1.0), (0.4, 0.6, 1.0),
                                            (0.75, 0.2, 3.0), (0.1, 0.9, 1.5)])
     def test_matches_pointwise_taylor(self, name, s, x, scale):
+        # each term against its own reference coefficient
         law = TERM_LAWS[name]
         terms = law.taylor_terms(s, x, scale)
         for k in range(30):
-            expected = scale * law.taylor(s, k) * x**k
-            got = next(terms, 0.0)
-            assert got == pytest.approx(expected, rel=1e-13, abs=1e-300), k
+            with mpmath.workdps(50):
+                expected = scale * mp_taylor(law, s, k) * mpmath.mpf(x) ** k
+            assert close(next(terms, 0.0), expected, 1e-13, 1e-300), k
 
     @pytest.mark.parametrize("name", sorted(TERM_LAWS))
     def test_stops_at_max_support(self, name):

@@ -4,6 +4,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from oracles import mp_taylor
 
 from gwspeed import (
     Binomial,
@@ -408,9 +409,10 @@ class TestPointwiseFromStream:
                 with pytest.raises(ModelError):
                     mean_excursions(m, k)
                 continue
-            assert mean_excursions(m, k) == pytest.approx(
-                m.p * m.rho * m.law.taylor(m.lam, k + 1) / m.law.taylor(m.lam, k),
-                rel=1e-13, abs=0)
+            with mpmath.workdps(50):
+                expected = (m.p * m.rho * mp_taylor(m.law, m.lam, k + 1)
+                            / mp_taylor(m.law, m.lam, k))
+            assert mean_excursions(m, k) == pytest.approx(float(expected), rel=1e-13, abs=0)
 
     def test_past_a_finite_support(self):
         m = PercolatedModel(Binomial(3, 0.8), 0.8)
@@ -420,8 +422,6 @@ class TestPointwiseFromStream:
     def test_large_poisson_gives_the_stream_term(self):
         # f^(1500)(lambda)/1500! overflows a float; the terms are probabilities
         m = PercolatedModel(parse_law("poisson:3000"), 0.5)
-        with pytest.raises(OverflowError):
-            m.law.taylor(m.lam, 1500)
         assert backbone_pmf(m, 1500) == dict(backbone_pmf_iter(m))[1500]
         assert thinned_pmf(m, 1500) == dict(thinned_pmf_iter(m))[1500]
         assert backbone_pmf(m, 1500) == pytest.approx(0.010300073145108538, rel=1e-14)
@@ -430,8 +430,6 @@ class TestPointwiseFromStream:
     def test_mean_excursions_where_the_coefficient_overflows(self):
         # Poisson: c_{k+1}/c_k = mu/(k+1), so N(p, k) = p rho mu/(k+1)
         m = PercolatedModel(Poisson(1e5), 2e-4)
-        with pytest.raises(OverflowError):
-            m.law.taylor(m.lam, 100)
         assert m.rho > 0.0
         assert mean_excursions(m, 100) == pytest.approx(m.p * m.rho * 1e5 / 101, rel=1e-13)
 

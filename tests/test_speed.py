@@ -3,6 +3,7 @@ import io
 import mpmath
 import numpy as np
 import pytest
+from oracles import mp_taylor
 
 from gwspeed import (
     Binomial,
@@ -475,14 +476,20 @@ ROW_FRACTIONS = [1e-3, 1e-2, 0.05, 0.1, 0.3, 0.5, 0.8, 1.0]
 
 def delay_oracle(model):
     """The delay as the direct sum over ptilde_k 2 M N(p,k), with
-    N(p,k) = p rho c_{k+1}/c_k from the log-space `taylor`, apart from the
-    recurrence that the rows and `mean_excursions` read."""
+    N(p,k) = p rho c_{k+1}/c_k from the reference coefficients of
+    `oracles`, apart from the recurrence that the rows and
+    `mean_excursions` read."""
     if model.rho == 0.0:
         return 0.0
     big_m = bush_mean_size(model)
     law, lam = model.law, model.lam
-    return sum(pk * 2.0 * big_m * model.p * model.rho * law.taylor(lam, k + 1) / law.taylor(lam, k)
-               for k, pk in backbone_pmf_iter(model) if pk > 0.0)
+    total = 0.0
+    for k, pk in backbone_pmf_iter(model):
+        if pk > 0.0:
+            with mpmath.workdps(50):
+                ratio = float(mp_taylor(law, lam, k + 1) / mp_taylor(law, lam, k))
+            total += pk * 2.0 * big_m * model.p * model.rho * ratio
+    return total
 
 
 class TestSingleCodePath:
@@ -511,10 +518,12 @@ class TestSingleCodePath:
 
 def pointwise_row(model, terms):
     """`_row`'s two sums over the first `terms` values of ptilde_k from the
-    log-space `taylor`, apart from the recurrence `_row` reads, and the
-    delay's one term past them."""
-    law, lam, p, q = model.law, model.lam, model.p, 1 - model.rho
-    pk = [law.taylor(lam, k) * p**k * q ** (k - 1) for k in range(1, terms + 2)]
+    reference coefficients of `oracles`, apart from the recurrence `_row`
+    reads, and the delay's one term past them."""
+    law, lam = model.law, model.lam
+    with mpmath.workdps(50):
+        p, q = mpmath.mpf(model.p), 1 - mpmath.mpf(model.rho)
+        pk = [float(mp_taylor(law, lam, k) * p**k * q ** (k - 1)) for k in range(1, terms + 2)]
     series = sum(p * (k - 1) / (k + 1) for k, p in enumerate(pk[:-1], 1))
     if model.rho == 0.0:
         return series, 0.0
@@ -524,7 +533,7 @@ def pointwise_row(model, terms):
 
 class TestRecurrenceRow:
     """`_row` builds ptilde by the law's coefficient recurrence; the
-    log-space `taylor` over the same terms gives the same row."""
+    reference coefficients over the same terms give the same row."""
 
     @pytest.mark.parametrize("spec", ROW_LAWS, ids=lambda s: s if len(s) < 20 else "pmf20")
     def test_matches_pointwise_backbone_pmf(self, spec):
